@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -27,7 +32,7 @@ from .io import write_csv, write_json, write_raster
 from .well import SpectralState, WellGeometry, basis_state, random_state
 from .protocol import (CopyFitError, NodeConditionError, ProtocolConfig,
                        hotel_multiply_oracle, run_ideal_protocol_p)
-from .dynamics import (DynamicKnobs, FreeFlight, GridState, PotentialTimeline,
+from .dynamics import (SCHEMES, DynamicKnobs, FreeFlight, PotentialTimeline,
                        PropagationError, PropagatorSettings, Segment, carpet,
                        run_dynamic_protocol, to_grid)
 from .optics import (GridSpec, RingSpec, UndersampledError, make_oam_mode,
@@ -50,104 +55,6 @@ class ConfigError(ValueError):
 
 # --- configuration plumbing ------------------------------------------------
 
-_DEFAULTS = {
-    "well-ideal": {
-        "p": 2,
-        "input": "h1",
-        "n_support": 8,
-        "n_modes": None,
-        "working_modes": 8192,
-        "width": 1.0,
-    },
-    "well-dynamic": {
-        "input_level": 1,
-        "n_modes": 8,
-        "width": 1.0,
-        "scheme": "crank-nicolson",
-        "knobs": {
-            "compression_time": 40.0,
-            "barrier_ramp_time": 0.002,
-            "barrier_height": None,
-            "barrier_half_width": None,
-            "wall_height": None,
-            "wall_edge_width_dx": 1.0,
-            "dt_steps_per_tau": 8000,
-            "m": 1023,
-        },
-    },
-    "well-sweep": {
-        "input_level": 1,
-        "n_modes": 8,
-        "width": 1.0,
-        "scheme": "crank-nicolson",
-        "compression_times": [10.0, 40.0, 160.0],
-        "knobs": {
-            "barrier_ramp_time": 0.002,
-            "barrier_height": None,
-            "barrier_half_width": None,
-            "wall_height": None,
-            "wall_edge_width_dx": 1.0,
-            "dt_steps_per_tau": 8000,
-            "m": 1023,
-        },
-    },
-    "oam-multiply": {
-        "ell": 1,
-        "p": 3,
-        "grid_n": 2048,
-        "pitch": 10e-6,
-        "a_target": 0.8e-3,
-        "b": 3e-3,
-        "f": 0.25,
-        "wavelength": 633e-9,
-        "ring_radius": None,
-        "ring_width": None,
-        "mu": 1.32859,
-        "spectrum_method": "projective",
-        "ell_window": 15,
-        "save_field": True,
-    },
-    "oam-crosstalk": {
-        "ell_in_max": 3,
-        "ell_out_max": None,
-        "p": 3,
-        "grid_n": 2048,
-        "pitch": 10e-6,
-        "a_target": 0.8e-3,
-        "b": 3e-3,
-        "f": 0.25,
-        "wavelength": 633e-9,
-        "ring_radius": None,
-        "ring_width": None,
-        "mu": 1.32859,
-        "spectrum_method": "projective",
-    },
-    "oam-petals": {
-        "ell": 2,
-        "p": 3,
-        "grid_n": 2048,
-        "pitch": 10e-6,
-        "a_target": 0.8e-3,
-        "b": 3e-3,
-        "f": 0.25,
-        "wavelength": 633e-9,
-        "ring_radius": None,
-        "ring_width": None,
-        "mu": 1.32859,
-    },
-    "carpet": {
-        "levels": [1, 2],
-        "width": 1.0,
-        "m": 511,
-        "duration_tau": 1.0,
-        "time_samples": 256,
-        "space_samples": 256,
-        "scheme": "strang-split-sine",
-        "dt_steps_per_tau": 4000,
-    },
-}
-
-
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     out = dict(defaults)
     for key, value in overrides.items():
@@ -161,13 +68,23 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return out
 
 
+def _parse(text: str):
+    """JSON when the text is JSON, YAML otherwise.  YAML 1.1 reads a float
+    written without a dot, such as the 1e-05 that json.dumps puts in a
+    manifest, as a string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return yaml.safe_load(text)
+
+
 def _apply_set(config: dict, assignments: list) -> dict:
     out = dict(config)
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
+        value = _parse(raw)
         node = out
         keys = dotted.split(".")
         for k in keys[:-1]:
@@ -182,7 +99,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        loaded = yaml.safe_load(Path(path).read_text())
+        loaded = _parse(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -207,11 +124,11 @@ def resolve_config(raw: dict) -> tuple[str, dict]:
     seed = raw.pop("seed", 0)
     if experiment is None:
         raise ConfigError("no experiment selected (key 'experiment')")
-    if experiment not in _DEFAULTS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; "
-            f"choose from {sorted(_DEFAULTS)}")
-    merged = _merge(_DEFAULTS[experiment], raw)
+            f"choose from {sorted(_EXPERIMENTS)}")
+    merged = _merge(_EXPERIMENTS[experiment].defaults, raw)
     merged["seed"] = int(seed)
     return experiment, merged
 
@@ -220,50 +137,67 @@ def resolve_config(raw: dict) -> tuple[str, dict]:
 
 def validate_config(experiment: str, cfg: dict) -> list:
     """Physics/sanity report: a list of violation strings, empty if OK."""
-    v = []
+    return _EXPERIMENTS[experiment].check(cfg)
 
-    def positive(key, value):
-        if value is not None and not (isinstance(value, (int, float)) and value > 0):
-            v.append(f"{key} must be positive, got {value!r}")
 
-    if experiment == "well-ideal":
-        positive("width", cfg["width"])
-        positive("p", cfg["p"])
-        positive("n_support", cfg["n_support"])
-        if cfg["n_modes"] is not None and cfg["p"] * cfg["n_support"] > cfg["n_modes"]:
-            v.append(
-                f"capacity: p*n_support = {cfg['p'] * cfg['n_support']} exceeds "
-                f"n_modes = {cfg['n_modes']}")
-    elif experiment in ("well-dynamic", "well-sweep"):
-        positive("width", cfg["width"])
-        positive("n_modes", cfg["n_modes"])
-        positive("knobs.m", cfg["knobs"]["m"])
-        positive("knobs.dt_steps_per_tau", cfg["knobs"]["dt_steps_per_tau"])
-        if cfg["scheme"] not in ("crank-nicolson", "strang-split-sine"):
-            v.append(f"unknown scheme {cfg['scheme']!r}")
-        if experiment == "well-sweep" and len(cfg["compression_times"]) < 2:
-            v.append("compression_times needs at least 2 points")
-        if not (1 <= cfg["input_level"] <= cfg["n_modes"]):
-            v.append("input_level outside 1..n_modes")
-    elif experiment.startswith("oam-"):
-        for key in ("pitch", "a_target", "b", "f", "wavelength"):
-            positive(key, cfg[key])
-        if cfg["grid_n"] < 4 or cfg["grid_n"] % 2:
-            v.append("grid_n must be an even integer >= 4")
-        radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
-        ell = cfg.get("ell", cfg.get("ell_in_max", 1))
-        ell_out = abs(int(ell)) * cfg["p"]
-        if ell_out and 2 * np.pi * radius / (ell_out * cfg["pitch"]) < 8.0:
-            v.append(
-                f"grid sampling: output charge {ell_out} has fewer than 8 "
-                "pixels per azimuthal cycle at the ring radius")
-        if cfg["p"] < 1 or cfg["p"] % 2 == 0:
-            v.append("p must be odd for the symmetric fan-out scheme")
-    elif experiment == "carpet":
-        positive("width", cfg["width"])
-        positive("duration_tau", cfg["duration_tau"])
-        if not cfg["levels"] or any(n < 1 for n in cfg["levels"]):
-            v.append("levels must be positive integers")
+def _not_positive(cfg: dict, *keys: str) -> list:
+    """Violations for the keys (dotted paths) that hold anything but a
+    positive number; None, which stands for a derived default, passes."""
+    values = {key: reduce(getitem, key.split("."), cfg) for key in keys}
+    return [f"{key} must be positive, got {value!r}"
+            for key, value in values.items() if value is not None
+            and not (isinstance(value, (int, float)) and value > 0)]
+
+
+def _check_well_ideal(cfg: dict) -> list:
+    v = _not_positive(cfg, "width", "p", "n_support")
+    if cfg["n_modes"] is not None and cfg["p"] * cfg["n_support"] > cfg["n_modes"]:
+        v.append(
+            f"capacity: p*n_support = {cfg['p'] * cfg['n_support']} exceeds "
+            f"n_modes = {cfg['n_modes']}")
+    return v
+
+
+def _check_well_grid(cfg: dict) -> list:
+    v = _not_positive(cfg, "width", "n_modes", "knobs.m", "knobs.dt_steps_per_tau")
+    m = cfg["knobs"]["m"]
+    if isinstance(m, int) and m % 2 == 0:
+        v.append(f"knobs.m must be odd so that x=L is a grid point, got {m}")
+    if cfg["scheme"] not in SCHEMES:
+        v.append(f"unknown scheme {cfg['scheme']!r}")
+    if "compression_times" in cfg and len(cfg["compression_times"]) < 2:
+        v.append("compression_times needs at least 2 points")
+    if not (1 <= cfg["input_level"] <= cfg["n_modes"]):
+        v.append("input_level outside 1..n_modes")
+    return v
+
+
+def _check_oam(cfg: dict) -> list:
+    v = _not_positive(cfg, "pitch", "a_target", "b", "f", "wavelength")
+    if cfg["grid_n"] < 4 or cfg["grid_n"] % 2:
+        v.append("grid_n must be an even integer >= 4")
+    radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
+    ell = cfg.get("ell", cfg.get("ell_in_max", 1))
+    ell_out = abs(int(ell)) * cfg["p"]
+    if ell_out and 2 * np.pi * radius / (ell_out * cfg["pitch"]) < 8.0:
+        v.append(
+            f"grid sampling: output charge {ell_out} has fewer than 8 "
+            "pixels per azimuthal cycle at the ring radius")
+    if cfg["p"] < 1 or cfg["p"] % 2 == 0:
+        v.append("p must be odd for the symmetric fan-out scheme")
+    return v
+
+
+def _check_carpet(cfg: dict) -> list:
+    v = _not_positive(cfg, "width", "duration_tau", "m", "space_samples",
+                      "dt_steps_per_tau")
+    if not cfg["levels"] or any(n < 1 for n in cfg["levels"]):
+        v.append("levels must be positive integers")
+    samples = cfg["time_samples"]
+    if not (isinstance(samples, int) and samples >= 2):
+        v.append(f"time_samples must be an integer >= 2, got {samples!r}")
+    if cfg["scheme"] not in SCHEMES:
+        v.append(f"unknown scheme {cfg['scheme']!r}")
     return v
 
 
@@ -285,7 +219,6 @@ def parse_state(spec, geometry: WellGeometry, n_modes: int,
         raise ConfigError(f"cannot parse input state {spec!r}")
     amps = np.zeros(n_modes, dtype=complex)
     rest = spec
-    matched = False
     while rest.strip():
         m = _STATE_RE.match(rest)
         if not m:
@@ -296,28 +229,22 @@ def parse_state(spec, geometry: WellGeometry, n_modes: int,
             raise ConfigError(f"level h{level} outside 1..{n_modes}")
         amps[level - 1] += sign
         rest = rest[m.end():]
-        matched = True
-    if not matched or not np.any(amps):
+    if not np.any(amps):
         raise ConfigError(f"cannot parse input state {spec!r}")
     amps /= np.linalg.norm(amps)
     return SpectralState(geometry=geometry, amps=amps)
 
 
-def _knobs_from(cfg: dict, compression_time: float | None = None) -> DynamicKnobs:
-    k = cfg["knobs"]
+def _grid_protocol(cfg: dict, compression_time: float):
+    """run_dynamic_protocol on the configured input level and knobs."""
     geometry = WellGeometry(cfg["width"])
     tau = 2.0 * np.pi / geometry.omega0()
-    return DynamicKnobs(
-        barrier_ramp_time=k["barrier_ramp_time"],
-        barrier_height=k["barrier_height"],
-        barrier_half_width=k["barrier_half_width"],
-        compression_time=(compression_time if compression_time is not None
-                          else k["compression_time"]),
-        wall_height=k["wall_height"],
-        wall_edge_width_dx=k["wall_edge_width_dx"],
-        dt=tau / k["dt_steps_per_tau"],
-        m=k["m"],
-    )
+    # the knob keys are DynamicKnobs fields, except dt in steps per tau
+    knobs = {**cfg["knobs"], "compression_time": compression_time}
+    dt = tau / knobs.pop("dt_steps_per_tau")
+    state = basis_state(cfg["input_level"], geometry, cfg["n_modes"])
+    return run_dynamic_protocol(state, DynamicKnobs(dt=dt, **knobs),
+                                scheme=cfg["scheme"])
 
 
 def _pipeline_from(cfg: dict) -> MultiplierPipelineConfig:
@@ -330,9 +257,16 @@ def _pipeline_from(cfg: dict) -> MultiplierPipelineConfig:
         b=cfg["b"], f=cfg["f"], wavelength=cfg["wavelength"], mu=cfg["mu"])
 
 
-def _run_well_ideal(cfg: dict, out: Path, rng: np.random.Generator,
-                    parallel: int) -> dict:
+def _write_amps(out: Path, s: SpectralState) -> None:
+    write_csv(out / "series" / "output_amps.csv",
+              ["n", "re", "im", "power"],
+              [(n + 1, a.real, a.imag, abs(a) ** 2)
+               for n, a in enumerate(s.amps)])
+
+
+def _run_well_ideal(cfg: dict, out: Path, parallel: int) -> dict:
     geometry = WellGeometry(cfg["width"])
+    rng = np.random.default_rng(cfg["seed"])
     state = parse_state(cfg["input"], geometry, cfg["n_support"], rng,
                         cfg["n_support"])
     pcfg = ProtocolConfig(p=cfg["p"], n_modes=cfg["n_modes"],
@@ -344,10 +278,7 @@ def _run_well_ideal(cfg: dict, out: Path, rng: np.random.Generator,
     occupied = np.zeros(result.n_modes, dtype=bool)
     occupied[cfg["p"] - 1::cfg["p"]] = True
     leakage = float(np.sum(np.abs(result.amps[~occupied]) ** 2))
-    write_csv(out / "series" / "output_amps.csv",
-              ["n", "re", "im", "power"],
-              [(n + 1, a.real, a.imag, abs(a) ** 2)
-               for n, a in enumerate(result.amps)])
+    _write_amps(out, result)
     residuals = trace.copy_residuals
     return {
         "fidelity": fidelity,
@@ -357,32 +288,18 @@ def _run_well_ideal(cfg: dict, out: Path, rng: np.random.Generator,
     }
 
 
-def _run_well_dynamic(cfg: dict, out: Path, rng: np.random.Generator,
-                      parallel: int) -> dict:
-    geometry = WellGeometry(cfg["width"])
-    state = basis_state(cfg["input_level"], geometry, cfg["n_modes"])
-    final, report = run_dynamic_protocol(state, _knobs_from(cfg),
-                                         scheme=cfg["scheme"])
-    write_csv(out / "series" / "output_amps.csv",
-              ["n", "re", "im", "power"],
-              [(n + 1, a.real, a.imag, abs(a) ** 2)
-               for n, a in enumerate(final.amps)])
-    metrics = report.to_dict()
-    return metrics
+def _run_well_dynamic(cfg: dict, out: Path, parallel: int) -> dict:
+    final, report = _grid_protocol(cfg, cfg["knobs"]["compression_time"])
+    _write_amps(out, final)
+    return report.to_dict()
 
 
-def _sweep_point(cfg: dict, compression_time: float) -> dict:
-    geometry = WellGeometry(cfg["width"])
-    state = basis_state(cfg["input_level"], geometry, cfg["n_modes"])
-    _, report = run_dynamic_protocol(
-        state, _knobs_from(cfg, compression_time), scheme=cfg["scheme"])
-    return {"compression_time": float(compression_time),
-            "fidelity": report.fidelity,
-            "odd_level_leakage": report.odd_level_leakage}
+def _sweep_point(cfg: dict, compression_time: float) -> tuple:
+    _, report = _grid_protocol(cfg, compression_time)
+    return compression_time, report.fidelity, report.odd_level_leakage
 
 
-def _run_well_sweep(cfg: dict, out: Path, rng: np.random.Generator,
-                    parallel: int) -> dict:
+def _run_well_sweep(cfg: dict, out: Path, parallel: int) -> dict:
     times = [float(t) for t in cfg["compression_times"]]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, len(times))) as ex:
@@ -390,10 +307,8 @@ def _run_well_sweep(cfg: dict, out: Path, rng: np.random.Generator,
     else:
         points = [_sweep_point(cfg, t) for t in times]
     write_csv(out / "series" / "sweep.csv",
-              ["compression_time", "fidelity", "odd_level_leakage"],
-              [(p["compression_time"], p["fidelity"], p["odd_level_leakage"])
-               for p in points])
-    fids = [p["fidelity"] for p in points]
+              ["compression_time", "fidelity", "odd_level_leakage"], points)
+    fids = [fidelity for _, fidelity, _ in points]
     return {
         "compression_times": times,
         "fidelities": fids,
@@ -401,8 +316,7 @@ def _run_well_sweep(cfg: dict, out: Path, rng: np.random.Generator,
     }
 
 
-def _run_oam_multiply(cfg: dict, out: Path, rng: np.random.Generator,
-                      parallel: int) -> dict:
+def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> dict:
     pipe = _pipeline_from(cfg)
     mode = make_oam_mode(cfg["ell"], pipe.ring, pipe.grid,
                          pipe.sorter.wavelength)
@@ -428,8 +342,7 @@ def _run_oam_multiply(cfg: dict, out: Path, rng: np.random.Generator,
     }
 
 
-def _run_oam_crosstalk(cfg: dict, out: Path, rng: np.random.Generator,
-                       parallel: int) -> dict:
+def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> dict:
     pipe = _pipeline_from(cfg)
     matrix = crosstalk_matrix(pipe, cfg["ell_in_max"], cfg["ell_out_max"],
                               method=cfg["spectrum_method"])
@@ -450,8 +363,7 @@ def _run_oam_crosstalk(cfg: dict, out: Path, rng: np.random.Generator,
     }
 
 
-def _run_oam_petals(cfg: dict, out: Path, rng: np.random.Generator,
-                    parallel: int) -> dict:
+def _run_oam_petals(cfg: dict, out: Path, parallel: int) -> dict:
     pipe = _pipeline_from(cfg)
     report = petal_test(cfg["ell"], pipe)
     write_csv(out / "series" / "ring_profile.csv",
@@ -460,8 +372,7 @@ def _run_oam_petals(cfg: dict, out: Path, rng: np.random.Generator,
     return report.to_dict()
 
 
-def _run_carpet(cfg: dict, out: Path, rng: np.random.Generator,
-                parallel: int) -> dict:
+def _run_carpet(cfg: dict, out: Path, parallel: int) -> dict:
     geometry = WellGeometry(cfg["width"])
     amps = np.zeros(max(cfg["levels"]), dtype=complex)
     for n in cfg["levels"]:
@@ -478,8 +389,10 @@ def _run_carpet(cfg: dict, out: Path, rng: np.random.Generator,
                                        cfg["time_samples"],
                                        cfg["space_samples"])
     write_raster(out / "rasters" / "carpet.bin", density)
-    write_csv(out / "series" / "axes.csv", ["time", "dummy_position"],
-              zip(times, np.resize(positions, times.size)))
+    write_csv(out / "series" / "time_axis.csv", ["time"],
+              [(t,) for t in times])
+    write_csv(out / "series" / "position_axis.csv", ["position"],
+              [(x,) for x in positions])
     return {
         "duration_tau": float(cfg["duration_tau"]),
         "time_samples": int(cfg["time_samples"]),
@@ -488,14 +401,93 @@ def _run_carpet(cfg: dict, out: Path, rng: np.random.Generator,
     }
 
 
-_RUNNERS = {
-    "well-ideal": _run_well_ideal,
-    "well-dynamic": _run_well_dynamic,
-    "well-sweep": _run_well_sweep,
-    "oam-multiply": _run_oam_multiply,
-    "oam-crosstalk": _run_oam_crosstalk,
-    "oam-petals": _run_oam_petals,
-    "carpet": _run_carpet,
+# --- the experiment table --------------------------------------------------
+
+# defaults shared by several experiments
+_OAM_BENCH = {
+    "p": 3,
+    "grid_n": 2048,
+    "pitch": 10e-6,
+    "a_target": 0.8e-3,
+    "b": 3e-3,
+    "f": 0.25,
+    "wavelength": 633e-9,
+    "ring_radius": None,
+    "ring_width": None,
+    "mu": 1.32859,
+}
+
+_WELL_GRID = {
+    "input_level": 1,
+    "n_modes": 8,
+    "width": 1.0,
+    "scheme": "crank-nicolson",
+    "knobs": {
+        "barrier_ramp_time": 0.002,
+        "barrier_height": None,
+        "barrier_half_width": None,
+        "wall_height": None,
+        "wall_edge_width_dx": 1.0,
+        "dt_steps_per_tau": 8000,
+        "m": 1023,
+    },
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment: its default config (which also fixes the keys a
+    config may set), its validator and its runner."""
+
+    defaults: dict
+    check: Callable[[dict], list]
+    run: Callable[[dict, Path, int], dict]    # (config, out dir, parallel)
+
+
+_EXPERIMENTS = {
+    "well-ideal": Experiment({
+        "p": 2,
+        "input": "h1",
+        "n_support": 8,
+        "n_modes": None,
+        "working_modes": 8192,
+        "width": 1.0,
+    }, _check_well_ideal, _run_well_ideal),
+    "well-dynamic": Experiment({
+        **_WELL_GRID,
+        "knobs": {"compression_time": 40.0, **_WELL_GRID["knobs"]},
+    }, _check_well_grid, _run_well_dynamic),
+    "well-sweep": Experiment({
+        **_WELL_GRID,
+        "compression_times": [10.0, 40.0, 160.0],
+    }, _check_well_grid, _run_well_sweep),
+    "oam-multiply": Experiment({
+        "ell": 1,
+        **_OAM_BENCH,
+        "spectrum_method": "projective",
+        "ell_window": 15,
+        "save_field": True,
+    }, _check_oam, _run_oam_multiply),
+    "oam-crosstalk": Experiment({
+        "ell_in_max": 3,
+        "ell_out_max": None,
+        **_OAM_BENCH,
+        "spectrum_method": "projective",
+    }, _check_oam, _run_oam_crosstalk),
+    "oam-petals": Experiment({
+        "ell": 2,
+        **_OAM_BENCH,
+    }, _check_oam, _run_oam_petals),
+    "carpet": Experiment({
+        "levels": [1, 2],
+        "width": 1.0,
+        "m": 511,
+        "duration_tau": 1.0,
+        "time_samples": 256,
+        "space_samples": 256,
+        "scheme": "strang-split-sine",
+        "dt_steps_per_tau": 4000,
+    }, _check_carpet, _run_carpet),
 }
 
 
@@ -520,9 +512,8 @@ def _config_hash(path: str | None) -> str | None:
 def run_experiment(experiment: str, cfg: dict, out_dir: Path,
                    parallel: int = 1, config_path: str | None = None) -> dict:
     """Execute one experiment and write its artifact directory."""
-    rng = np.random.default_rng(cfg["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = _RUNNERS[experiment](cfg, out_dir, rng, parallel)
+    metrics = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
     write_json(out_dir / "metrics.json", metrics)
     manifest = {
         "experiment": experiment,
@@ -563,7 +554,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-experiments":
-        for name in sorted(_DEFAULTS):
+        for name in sorted(_EXPERIMENTS):
             print(name)
         return EXIT_OK
 

@@ -36,7 +36,10 @@ __all__ = [
     "run_dynamic_protocol",
     "FidelityReport",
     "DynamicKnobs",
+    "SCHEMES",
 ]
+
+SCHEMES = ("strang-split-sine", "crank-nicolson")
 
 
 class PropagationError(RuntimeError):
@@ -225,7 +228,7 @@ class PropagatorSettings:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("strang-split-sine", "crank-nicolson"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -344,7 +347,7 @@ class DynamicKnobs:
     wall_height: float | None = None  # default 1e4 * E_max
     wall_edge_width_dx: float = 1.0   # tanh edge scale, in units of dx
     dt: float | None = None           # default tau / 8000
-    m: int = 1023                     # interior points on (0, 2L); odd keeps x=L on-grid
+    m: int = 1023                     # interior points on (0, 2L); odd, so x=L is on-grid
 
 
 @dataclass
@@ -353,8 +356,6 @@ class FidelityReport:
     odd_level_leakage: float
     step_norms: dict
     warnings: list
-    knobs: DynamicKnobs
-    oracle_levels: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -387,7 +388,8 @@ def run_dynamic_protocol(s: SpectralState, knobs: DynamicKnobs,
     tau = 2.0 * np.pi / omega0
     m = knobs.m
     if m % 2 == 0:
-        m += 1  # keep the midpoint x=L on the grid
+        raise ValueError(f"grid size m must be odd so that x=L is a grid "
+                         f"point, got {m}")
     dx = 2.0 * L / (m + 1)
 
     n_max = s.n_modes
@@ -468,6 +470,5 @@ def run_dynamic_protocol(s: SpectralState, knobs: DynamicKnobs,
             f"only {step_norms['project']:.3f} of the norm ended up in (0, L); "
             "wall too low or compression too fast")
     report = FidelityReport(fidelity=float(fid), odd_level_leakage=leakage,
-                            step_norms=step_norms, warnings=warnings,
-                            knobs=knobs, oracle_levels=2 * s.quantum_numbers)
+                            step_norms=step_norms, warnings=warnings)
     return fix_global_phase(out), report

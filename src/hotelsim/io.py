@@ -19,7 +19,6 @@ __all__ = [
     "write_csv",
     "write_raster",
     "read_raster",
-    "write_intensity_csv",
 ]
 
 _MAGIC = b"HSIM"
@@ -90,9 +89,3 @@ def read_raster(path) -> np.ndarray:
     if body.size != rows * cols:
         raise ValueError("raster payload size mismatch")
     return body.reshape(rows, cols).copy()
-
-
-def write_intensity_csv(path, field) -> None:
-    """Grayscale-ready |E|^2 matrix as CSV rows (for quick plotting)."""
-    inten = np.abs(np.asarray(field.samples)) ** 2
-    write_csv(path, [f"c{j}" for j in range(inten.shape[1])], inten)

@@ -9,11 +9,11 @@ beam closes on itself with p times the original winding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import (Field2D, FanoutConfig, GridSpec, OamSpectrum, RingSpec,
+from .optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                      SorterConfig, fanout_order_coefficients, fourier_lens,
                      inverse_fourier_lens, fanout_grating_phase, make_oam_mode,
                      oam_spectrum, sorter_unwrap, sorter_wrap, _polar_samples)
@@ -50,7 +50,6 @@ class MultiplierPipelineConfig:
     ring: RingSpec
     p: int = 3
     strip_pixels: int = 0       # strip width along v, in transform-plane px
-    annulus_log_half_range: float = 0.7  # design annulus: |log(r/b)| below this
 
     def __post_init__(self):
         if self.p != self.fanout.copies:
@@ -88,7 +87,7 @@ def _annulus_outside_fraction(e: Field2D, cfg: MultiplierPipelineConfig) -> floa
     r = np.hypot(X, Y)
     with np.errstate(divide="ignore"):
         logr = np.log(np.where(r > 0, r / cfg.sorter.b, np.inf))
-    outside = np.abs(logr) > cfg.annulus_log_half_range
+    outside = np.abs(logr) > 0.7   # design annulus: |log(r/b)| <= 0.7
     total = np.sum(np.abs(e.samples) ** 2)
     if total == 0:
         return 0.0

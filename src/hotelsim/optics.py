@@ -9,7 +9,7 @@ of pure linear maps on immutable arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -141,11 +141,6 @@ class SorterConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def strip_width(self) -> float:
-        """Extent of the unwrapped azimuth along v."""
-        return 2.0 * np.pi * self.a
-
 
 @dataclass(frozen=True)
 class FanoutConfig:
@@ -166,11 +161,6 @@ class FanoutConfig:
             raise ValueError("mu, period and cylinder_f must be positive")
         if self.copies < 1 or self.copies % 2 == 0:
             raise ValueError("symmetric-order fan-out needs an odd copy count")
-
-    @property
-    def orders(self) -> np.ndarray:
-        k = self.copies // 2
-        return np.arange(-k, k + 1)
 
 
 @dataclass(frozen=True)
@@ -395,9 +385,8 @@ def oam_spectrum(e: Field2D, ell_max: int, method: str = "azimuthal-decompositio
         raise ValueError("ell_max must be >= 0")
     ells = np.arange(-ell_max, ell_max + 1)
     if method == "azimuthal-decomposition":
+        # a power of two >= 8 samples per cycle of the highest charge
         n_theta = 1 << int(np.ceil(np.log2(max(64, 8 * ell_max))))
-        if n_theta < 8 * ell_max:
-            raise UndersampledError("azimuthal raster below 8 samples/cycle")
         n_radii = e.n // 2
         radii, theta, vals = _polar_samples(e, n_theta, n_radii)
         # harmonic amplitudes per radius: a_l(r) = (1/2pi) int E e^{-il t} dt

@@ -25,15 +25,11 @@ import numpy as np
 from scipy.fft import dst
 
 from .well import (
-    DomainError,
     GeometryError,
     SpectralState,
     WellGeometry,
     evaluate,
     free_evolve,
-    mirror,
-    mode_overlap_matrix,
-    overlap,
     project,
     rebase,
 )
@@ -55,7 +51,8 @@ __all__ = [
     "run_ideal_protocol_p",
 ]
 
-STEP_LABELS = ("expand", "mirror-evolve", "split", "phase", "merge", "compress")
+NODE_TOL = 1e-8           # |psi| at a barrier, relative to its peak
+COPY_RESIDUAL_TOL = 1e-8  # per sub-well, before the truncation-tail floor
 
 
 class NodeConditionError(RuntimeError):
@@ -78,9 +75,6 @@ class ProtocolConfig:
     p: int = 2
     n_modes: int | None = None        # output capacity; default p * N
     working_modes: int | None = None  # internal expanded-basis size; default 4 * p * N
-    correct_global_phase: bool = True
-    node_tol: float = 1e-8
-    copy_residual_tol: float = 1e-8
 
     def __post_init__(self):
         if self.p < 1:
@@ -90,7 +84,6 @@ class ProtocolConfig:
 @dataclass
 class TraceStep:
     label: str
-    state: SpectralState
     norm_captured: float
     elapsed_s: float
     extra: dict = field(default_factory=dict)
@@ -100,10 +93,10 @@ class TraceStep:
 class ProtocolTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
-    def add(self, label: str, state: SpectralState, t0: float, **extra):
+    def add(self, label: str, t0: float, *states: SpectralState, **extra):
+        """Record a step begun at t0; its norm sums the states it produced."""
         self.steps.append(TraceStep(
-            label=label, state=state,
-            norm_captured=float(np.sum(np.abs(state.amps) ** 2)),
+            label=label, norm_captured=_norm_sq(*states),
             elapsed_s=time.perf_counter() - t0, extra=extra))
 
     def labels(self) -> list[str]:
@@ -116,24 +109,9 @@ class ProtocolTrace:
                 return [float(r) for r in s.extra["copy_residuals"]]
         return []
 
-    def to_dict(self) -> dict:
-        return {"steps": [
-            {"label": s.label, "norm_captured": s.norm_captured,
-             "elapsed_s": s.elapsed_s, "state": s.state.to_dict(),
-             "extra": _jsonable(s.extra)}
-            for s in self.steps]}
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _norm_sq(*states: SpectralState) -> float:
+    return float(sum(np.sum(np.abs(s.amps) ** 2) for s in states))
 
 
 def hotel_shift(s: SpectralState, k: int) -> SpectralState:
@@ -204,7 +182,7 @@ def _check_node(s: SpectralState, position: float, tol: float,
         raise NodeConditionError(position, rel, eff_tol)
 
 
-def split_at_nodes(s: SpectralState, parts: int, node_tol: float = 1e-8,
+def split_at_nodes(s: SpectralState, parts: int, node_tol: float = NODE_TOL,
                    n_modes: int | None = None,
                    truncation_aware_nodes: bool = False) -> list[SpectralState]:
     """Insert barriers at the parts-1 interior nodes, yielding sub-well states.
@@ -225,7 +203,7 @@ def split_at_nodes(s: SpectralState, parts: int, node_tol: float = 1e-8,
     return out
 
 
-def split_at_node(s: SpectralState, node_tol: float = 1e-8,
+def split_at_node(s: SpectralState, node_tol: float = NODE_TOL,
                   n_modes: int | None = None) -> tuple[SpectralState, SpectralState]:
     """Split a well in two at its centre; requires a node there."""
     left, right = split_at_nodes(s, 2, node_tol=node_tol, n_modes=n_modes)
@@ -266,49 +244,20 @@ def merge_halves(*parts: SpectralState, n_modes: int | None = None) -> SpectralS
     return SpectralState(geometry=big, amps=amps, constants=order[0].constants)
 
 
-def adiabatic_retag(s: SpectralState, target: WellGeometry,
-                    correct_global_phase: bool = True,
-                    duration: float | None = None) -> SpectralState:
+def adiabatic_retag(s: SpectralState, target: WellGeometry) -> SpectralState:
     """Ideal model of adiabatic compression: amplitude on mode n of the wide
     well is carried to mode n of the target well unchanged.
 
-    With correct_global_phase the dynamical phases are removed exactly and
-    the result is gauge-fixed so the lowest occupied level is real and
-    non-negative.  Otherwise, if a duration is given, each mode acquires
-    exp(-i integral E_n(t) dt / hbar) for a raised-cosine width schedule
-    (the same schedule the grid simulator uses for its moving wall).
+    The dynamical phases are removed exactly and the result is gauge-fixed
+    so the lowest occupied level is real and non-negative.
     """
-    out = SpectralState(geometry=target, amps=s.amps, constants=s.constants)
-    if correct_global_phase:
-        return fix_global_phase(out)
-    if duration is not None:
-        phases = np.exp(-1j * adiabatic_phase_integral(
-            s.geometry.width, target.width, duration, s.n_modes, s.constants.hbar,
-            mass=_mass(s)))
-        out = out.with_amps(out.amps * phases)
-    return out
+    return fix_global_phase(
+        SpectralState(geometry=target, amps=s.amps, constants=s.constants))
 
 
-def _mass(s: SpectralState) -> float:
-    return s.constants.mass
-
-
-def adiabatic_phase_integral(w_from: float, w_to: float, duration: float,
-                             n_modes: int, hbar: float = 1.0,
-                             mass: float = 1.0, samples: int = 4001) -> np.ndarray:
-    """Dynamical phases integral E_n(t) dt / hbar for a raised-cosine
-    interpolation of the well width from w_from to w_to over duration."""
-    u = np.linspace(0.0, 1.0, samples)
-    sched = 0.5 * (1.0 - np.cos(np.pi * u))
-    w = w_from + (w_to - w_from) * sched
-    base = np.trapezoid(1.0 / w**2, u) * duration      # integral dt / W(t)^2
-    n = np.arange(1, n_modes + 1, dtype=float)
-    return (hbar * np.pi**2 / (2.0 * mass)) * base * n**2
-
-
-def fix_global_phase(s: SpectralState, tol: float = 1e-12) -> SpectralState:
+def fix_global_phase(s: SpectralState) -> SpectralState:
     """Rotate so the lowest occupied level has non-negative real amplitude."""
-    idx = np.flatnonzero(np.abs(s.amps) > tol * max(1.0, s.norm()))
+    idx = np.flatnonzero(np.abs(s.amps) > 1e-12 * max(1.0, s.norm()))
     if idx.size == 0:
         return s
     phase = s.amps[idx[0]] / abs(s.amps[idx[0]])
@@ -363,8 +312,8 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     trace = ProtocolTrace()
     if p == 1:
         t0 = time.perf_counter()
-        out = fix_global_phase(s) if cfg.correct_global_phase else s
-        trace.add("compress", out, t0)
+        out = fix_global_phase(s)
+        trace.add("compress", t0, out)
         return out, trace
     g = s.geometry
     n_out = cfg.n_modes if cfg.n_modes is not None else p * s.n_modes
@@ -375,27 +324,26 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
 
     t0 = time.perf_counter()
     expanded = rebase(s, big, n_work)
-    trace.add("expand", expanded, t0)
+    trace.add("expand", t0, expanded)
 
     t0 = time.perf_counter()
     evolved = free_evolve(expanded, p * tau / 2.0)
-    trace.add("mirror-evolve", evolved, t0, time=p * tau / 2.0)
+    trace.add("mirror-evolve", t0, evolved, time=p * tau / 2.0)
 
     t0 = time.perf_counter()
-    parts = split_at_nodes(evolved, p, node_tol=cfg.node_tol, n_modes=s.n_modes,
+    parts = split_at_nodes(evolved, p, n_modes=s.n_modes,
                            truncation_aware_nodes=True)
-    trace.add("split", evolved, t0,
-              part_norms=[float(np.sum(np.abs(q.amps) ** 2)) for q in parts])
+    trace.add("split", t0, *parts, part_norms=[_norm_sq(q) for q in parts])
 
     # Constant phase per sub-well: rotate copy j onto (-1)^j / sqrt(p).
     # The copy-fit residual cannot beat the norm lost when the expanded
     # basis was truncated, so the guard tolerance is floored at that tail.
+    t0 = time.perf_counter()
     expand_tail = float(np.sqrt(max(
         0.0, np.sum(np.abs(s.amps) ** 2) - np.sum(np.abs(expanded.amps) ** 2))))
-    fit_tol = max(cfg.copy_residual_tol, 10.0 * expand_tail)
+    fit_tol = max(COPY_RESIDUAL_TOL, 10.0 * expand_tail)
     pattern = _copy_pattern(p)
     coeffs, residuals = _fit_copy_phases(parts, s.amps, pattern, fit_tol)
-    t0 = time.perf_counter()
     phased = []
     offsets = []
     for j, part in enumerate(parts):
@@ -404,7 +352,7 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
         # equivalent uniform potential, V = -arg(rot) hbar / tau
         offsets.append(float(-np.angle(rot) * s.constants.hbar / tau))
         phased.append(part.with_amps(part.amps * rot))
-    trace.add("phase", evolved, t0, copy_coefficients=list(coeffs),
+    trace.add("phase", t0, *phased, copy_coefficients=list(coeffs),
               copy_residuals=list(residuals), potential_offsets=offsets,
               pattern=pattern)
 
@@ -414,12 +362,12 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
         # mirrored-first copy pattern: half a revival of the expanded well
         # applies the parity operator and restores the direct ordering
         merged = free_evolve(merged, 0.5 * 2.0 * np.pi / big.omega0(s.constants))
-    trace.add("merge", merged, t0)
+    trace.add("merge", t0, merged)
 
     t0 = time.perf_counter()
-    retagged = adiabatic_retag(merged, g, correct_global_phase=cfg.correct_global_phase)
+    retagged = adiabatic_retag(merged, g)
     out = retagged.with_amps(retagged.amps[:n_out])
-    trace.add("compress", out, t0,
+    trace.add("compress", t0, out,
               truncated_norm=float(np.sum(np.abs(retagged.amps[n_out:]) ** 2)))
     return out, trace
 

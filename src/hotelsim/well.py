@@ -31,9 +31,6 @@ __all__ = [
     "random_state",
 ]
 
-NORM_TOL = 1e-12
-
-
 class DomainError(ValueError):
     """A coordinate or target interval lies outside the allowed domain."""
 
@@ -74,8 +71,8 @@ class WellGeometry:
         """Fundamental angular frequency: E_n = hbar * omega0 * n**2."""
         return const.hbar * np.pi**2 / (2.0 * const.mass * self.width**2)
 
-    def contains(self, other: "WellGeometry", tol: float = 1e-12) -> bool:
-        return (self.origin <= other.origin + tol) and (other.end <= self.end + tol)
+    def contains(self, other: "WellGeometry") -> bool:
+        return (self.origin <= other.origin + 1e-12) and (other.end <= self.end + 1e-12)
 
 
 def energies(n: np.ndarray | int, g: WellGeometry,
@@ -124,9 +121,6 @@ class SpectralState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(np.sum(np.abs(self.amps) ** 2) - 1.0) <= tol
 
     def with_amps(self, amps) -> "SpectralState":
         return replace(self, amps=np.asarray(amps, dtype=complex))
@@ -252,10 +246,8 @@ def overlap(a: SpectralState, b: SpectralState) -> complex:
     """<a|b> in a common eigenbasis; |overlap|^2 is the fidelity."""
     if a.geometry != b.geometry:
         raise GeometryError(f"geometry mismatch: {a.geometry} vs {b.geometry}")
+    # trailing amplitudes of the longer vector do not contribute
     n = min(a.n_modes, b.n_modes)
-    if a.n_modes != b.n_modes:
-        # trailing amplitudes of the longer vector do not contribute
-        pass
     return complex(np.vdot(a.amps[:n], b.amps[:n]))
 
 

@@ -1,16 +1,17 @@
 """Command-line front end: config resolution, validation, artifacts,
 determinism, and manifest replay."""
 
+import dataclasses
 import json
 import numpy as np
 import pytest
 import yaml
 
 from hotelsim import cli
-from hotelsim.cli import (ConfigError, main, parse_state, resolve_config,
-                          validate_config)
+from hotelsim.cli import (ConfigError, load_config, main, parse_state,
+                          resolve_config, validate_config)
 from hotelsim.dynamics import PropagationError
-from hotelsim.io import read_raster, write_raster
+from hotelsim.io import read_raster, write_json, write_raster
 from hotelsim.well import WellGeometry
 
 G = WellGeometry(1.0)
@@ -70,6 +71,12 @@ class TestValidate:
         assert any("pixels per azimuthal cycle" in v
                    for v in validate_config(exp, cfg))
 
+    @pytest.mark.parametrize("experiment", ["well-dynamic", "well-sweep"])
+    def test_even_grid_size_rejected(self, experiment):
+        exp, cfg = resolve_config({"experiment": experiment,
+                                   "knobs": {"m": 256}})
+        assert any("knobs.m must be odd" in v for v in validate_config(exp, cfg))
+
 
 class TestParseState:
     RNG = np.random.default_rng(0)
@@ -119,6 +126,20 @@ class TestCommands:
         assert run_cli("run", "well-ideal", "--out", str(tmp_path / "r"),
                        "--set", "width=-2") == 2
 
+    def test_validate_carpet_reports_bad_scheme_and_samples(self, capsys):
+        assert run_cli("validate", "carpet", "--set", "scheme=bogus",
+                       "--set", "time_samples=1") == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert any("scheme" in v for v in violations)
+        assert any("time_samples" in v for v in violations)
+
+    @pytest.mark.parametrize("bad", ["scheme=bogus", "time_samples=1",
+                                     "m=0", "space_samples=-4",
+                                     "dt_steps_per_tau=0"])
+    def test_run_rejects_invalid_carpet(self, tmp_path, bad):
+        assert run_cli("run", "carpet", "--out", str(tmp_path / "r"),
+                       "--set", bad) == 2
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "well-ideal",
                        "--config", str(tmp_path / "nope.yaml")) == 2
@@ -144,6 +165,12 @@ class TestRunArtifacts:
         density = read_raster(out / "rasters" / "carpet.bin")
         assert density.shape == (16, 32)
         assert np.all(density >= 0.0)
+        times = np.loadtxt(out / "series" / "time_axis.csv", skiprows=1)
+        positions = np.loadtxt(out / "series" / "position_axis.csv", skiprows=1)
+        assert times.size == density.shape[0]
+        assert positions.size == density.shape[1]
+        assert np.all(np.diff(positions) > 0)
+        assert 0.0 < positions[0] and positions[-1] < 1.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -173,6 +200,19 @@ class TestRunArtifacts:
                        "--out", str(again)) == 0
         assert (first / "metrics.json").read_bytes() \
             == (again / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("experiment", sorted(cli._EXPERIMENTS))
+    def test_manifest_of_every_experiment_replays(self, tmp_path, capsys,
+                                                  experiment):
+        # oam manifests hold floats such as 1e-05 that YAML reads as strings
+        exp, cfg = resolve_config({"experiment": experiment})
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {"experiment": exp, "seed": cfg.pop("seed"),
+                              "config": cfg})
+        assert load_config(str(manifest)) == {"experiment": exp, "seed": 0,
+                                              **cfg}
+        assert run_cli("validate", "--config", str(manifest)) == 0
+        assert yaml.safe_load(capsys.readouterr().out)["violations"] == []
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -209,9 +249,10 @@ class TestParallelAndEnv:
             cli._max_parallel(8)
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        def explode(cfg, out, rng, parallel):
+        def explode(cfg, out, parallel):
             raise PropagationError("norm drift 1.0e+00 over segment")
-        monkeypatch.setitem(cli._RUNNERS, "carpet", explode)
+        monkeypatch.setitem(cli._EXPERIMENTS, "carpet", dataclasses.replace(
+            cli._EXPERIMENTS["carpet"], run=explode))
         out = tmp_path / "run"
         assert run_cli("run", "carpet", "--out", str(out)) == 3
         payload = json.loads((out / "error.json").read_text())

@@ -190,6 +190,10 @@ class TestDynamicProtocol:
             assert label in report.step_norms
         assert report.step_norms["compress"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_even_grid_size_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            run_dynamic_protocol(basis_state(1, G, 4), DynamicKnobs(m=256))
+
     def test_low_wall_warns(self):
         s = basis_state(1, G, 8)
         _, report = run_dynamic_protocol(

@@ -133,6 +133,14 @@ class TestDoublingPipeline:
         with pytest.raises(ValueError):
             run_ideal_protocol(basis_state(1, G, 2), ProtocolConfig(p=3))
 
+    def test_split_record_holds_the_parts_norm(self):
+        s = basis_state(1, G, 4)
+        _, trace = run_ideal_protocol(s, ProtocolConfig(p=2, working_modes=2048))
+        split, phase = [t for t in trace.steps if t.label in ("split", "phase")]
+        assert abs(split.norm_captured - sum(split.extra["part_norms"])) < 1e-15
+        # the phase step only rotates each part
+        assert abs(phase.norm_captured - split.norm_captured) < 1e-15
+
     def test_fitted_offsets_recorded(self):
         s = basis_state(1, G, 4)
         _, trace = run_ideal_protocol(s, ProtocolConfig(p=2, working_modes=2048))
