@@ -84,7 +84,10 @@ def _apply_set(config: dict, assignments: list) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        value = _parse(raw)
+        try:
+            value = _parse(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse --set value {raw!r}: {exc}")
         node = out
         keys = dotted.split(".")
         for k in keys[:-1]:
@@ -191,8 +194,13 @@ def _check_oam(cfg: dict) -> list:
 def _check_carpet(cfg: dict) -> list:
     v = _not_positive(cfg, "width", "duration_tau", "m", "space_samples",
                       "dt_steps_per_tau")
-    if not cfg["levels"] or any(n < 1 for n in cfg["levels"]):
-        v.append("levels must be positive integers")
+    levels, m = cfg["levels"], cfg["m"]
+    if not (isinstance(levels, list) and levels
+            and all(isinstance(n, int) and n >= 1 for n in levels)):
+        v.append(f"levels must be a list of positive integers, got {levels!r}")
+    elif isinstance(m, int) and max(levels) > m:
+        v.append(f"max(levels) = {max(levels)} exceeds m = {m}: a grid of m "
+                 "points holds levels 1..m only")
     samples = cfg["time_samples"]
     if not (isinstance(samples, int) and samples >= 2):
         v.append(f"time_samples must be an integer >= 2, got {samples!r}")

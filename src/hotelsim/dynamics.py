@@ -238,6 +238,20 @@ def _kinetic_phase(m: int, width: float, dt: float, const: PhysicalConstants) ->
     return np.exp(-1j * e * dt / const.hbar)
 
 
+def _whole(ratio: float) -> int | None:
+    """The positive integer that ratio equals to within rounding, if any."""
+    whole = round(ratio)
+    if whole >= 1 and abs(ratio - whole) <= 1e-12 * whole:
+        return whole
+    return None
+
+
+def _step_count(duration: float, dt: float) -> int:
+    """Fewest steps of at most dt (to within rounding) that cover duration."""
+    ratio = duration / dt
+    return _whole(ratio) or max(1, int(np.ceil(ratio)))
+
+
 def propagate(g: GridState, timeline: PotentialTimeline,
               settings: PropagatorSettings,
               observer=None) -> GridState:
@@ -250,11 +264,11 @@ def propagate(g: GridState, timeline: PotentialTimeline,
     x = g.x
     const = g.constants
     hbar = const.hbar
-    norm0 = np.sum(np.abs(psi) ** 2)
-    t_global = 0.0
+    t0 = 0.0
     for seg in timeline.segments:
-        nsteps = max(1, int(np.ceil(seg.duration / settings.dt)))
+        nsteps = _step_count(seg.duration, settings.dt)
         dt = seg.duration / nsteps
+        norm0 = np.sum(np.abs(psi) ** 2)
         if settings.scheme == "strang-split-sine":
             kin = _kinetic_phase(g.m, g.width, dt, const)
             for k in range(nsteps):
@@ -263,13 +277,11 @@ def propagate(g: GridState, timeline: PotentialTimeline,
                 psi *= half
                 psi = dst(dst(psi, type=1, norm="ortho") * kin, type=1, norm="ortho")
                 psi *= half
-                t_global += dt
                 if observer is not None:
-                    observer(t_global, g.with_samples(psi))
+                    observer(t0 + (k + 1) * dt, g.with_samples(psi))
         else:
-            psi = _crank_nicolson_segment(psi, g, seg, dt, nsteps,
-                                          t_global, observer)
-            t_global += seg.duration
+            psi = _crank_nicolson_segment(psi, g, seg, dt, nsteps, t0, observer)
+        t0 += seg.duration
         drift = abs(np.sum(np.abs(psi) ** 2) / norm0 - 1.0)
         if drift > settings.norm_drift_tol * max(1.0, seg.duration):
             raise PropagationError(
@@ -311,25 +323,35 @@ def carpet(g: GridState, timeline: PotentialTimeline,
 
     Returns (times, positions, density) with density shaped
     (time_samples, space_samples); the first row is the initial state.
+    The run shortens dt to the largest step that divides the sample
+    spacing, so each row is the state at its labelled time.  Raises
+    ValueError when a segment boundary falls between sample times.
     """
     if time_samples < 2:
         raise ValueError("need at least 2 time samples")
     nx = space_samples if space_samples is not None else g.m
     xi = np.linspace(0, g.m - 1, nx).round().astype(int)
     total = timeline.duration
-    t_targets = np.linspace(0.0, total, time_samples)
+    spacing = total / (time_samples - 1)
+    for seg in timeline.segments:
+        if _whole(seg.duration / spacing) is None:
+            raise ValueError(
+                f"segment of duration {seg.duration:g} ends between sample "
+                f"times {spacing:g} apart")
+    per_row = _step_count(spacing, settings.dt)
     rows = np.zeros((time_samples, nx))
     rows[0] = np.abs(g.samples[xi]) ** 2
-    state = {"next": 1}
+    steps = 0
 
     def observer(t, gs):
-        while state["next"] < time_samples and t >= t_targets[state["next"]] - 1e-12:
-            rows[state["next"]] = np.abs(gs.samples[xi]) ** 2
-            state["next"] += 1
+        nonlocal steps
+        steps += 1
+        if steps % per_row == 0:
+            rows[steps // per_row] = np.abs(gs.samples[xi]) ** 2
 
-    propagate(g, timeline, settings, observer=observer)
-    rows[state["next"]:] = rows[state["next"] - 1]
-    return t_targets, g.x[xi], rows
+    propagate(g, timeline, replace(settings, dt=spacing / per_row),
+              observer=observer)
+    return np.linspace(0.0, total, time_samples), g.x[xi], rows
 
 
 # --- the dynamic protocol --------------------------------------------------

@@ -135,7 +135,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("bad", ["scheme=bogus", "time_samples=1",
                                      "m=0", "space_samples=-4",
-                                     "dt_steps_per_tau=0"])
+                                     "dt_steps_per_tau=0", "levels=[600]",
+                                     "levels=[1.5]", "levels=3",
+                                     "levels=[1,"])
     def test_run_rejects_invalid_carpet(self, tmp_path, bad):
         assert run_cli("run", "carpet", "--out", str(tmp_path / "r"),
                        "--set", bad) == 2

@@ -149,6 +149,21 @@ class TestPotentialFeatures:
         with pytest.raises(PropagationError):
             propagate(grid, tl, st)
 
+    def test_drift_guard_measures_each_segment_alone(self):
+        # Crank-Nicolson rounding drifts the norm by ~1e-15 per step, so a
+        # long segment may legitimately gather a drift that a short one
+        # after it may not: the short one is judged on its own drift
+        grid = to_grid(random_state(G, 8, np.random.default_rng(7)), 127)
+        long_seg = Segment(50.0 * TAU, FreeFlight())
+        loose = PropagatorSettings(dt=TAU / 10.0, scheme="crank-nicolson",
+                                   norm_drift_tol=1.0)
+        drift = abs(propagate(grid, PotentialTimeline([long_seg]), loose)
+                    .norm_sq() / grid.norm_sq() - 1.0)
+        assert drift > 1e-13
+        tl = PotentialTimeline([long_seg, Segment(0.01 * TAU, FreeFlight())])
+        propagate(grid, tl, PropagatorSettings(
+            dt=TAU / 10.0, scheme="crank-nicolson", norm_drift_tol=drift / 10.0))
+
 
 class TestCarpet:
     def test_shape_and_initial_row(self):
@@ -170,6 +185,32 @@ class TestCarpet:
         t, x, rows = carpet(grid, tl, PropagatorSettings(dt=TAU / 2048.0),
                             time_samples=9, space_samples=128)
         assert np.max(np.abs(rows[-1] - rows[0])) < 1e-8
+
+    @pytest.mark.parametrize("scheme", ["strang-split-sine", "crank-nicolson"])
+    def test_rows_sit_at_their_labelled_times(self, scheme):
+        # 16 rows over TAU/4 at dt = TAU/512 are 8.53 steps apart
+        s = random_state(G, 3, np.random.default_rng(5))
+        grid = to_grid(s, 255)
+        tl = PotentialTimeline([Segment(TAU / 4.0, FreeFlight())])
+        t, x, rows = carpet(grid, tl, PropagatorSettings(dt=TAU / 512.0,
+                                                         scheme=scheme),
+                            time_samples=16)
+        exact = np.array([np.abs(to_grid(free_evolve(s, ti), 255).samples) ** 2
+                          for ti in t])
+        # the sine-basis split step is exact in free flight; CN carries a
+        # small dispersion error, far below what one step of delay costs
+        tol = 1e-10 if scheme == "strang-split-sine" else 4e-3
+        assert np.max(np.abs(rows - exact)) < tol * np.max(exact)
+
+    def test_segment_boundary_between_samples_rejected(self):
+        grid = to_grid(basis_state(1, G, 4), 63)
+        tl = PotentialTimeline([Segment(TAU / 4.0, FreeFlight()),
+                                Segment(TAU / 8.0, FreeFlight())])
+        with pytest.raises(ValueError, match="between sample times"):
+            carpet(grid, tl, PropagatorSettings(dt=TAU / 512.0), time_samples=3)
+        t, _, rows = carpet(grid, tl, PropagatorSettings(dt=TAU / 512.0),
+                            time_samples=4)
+        assert rows.shape[0] == t.size == 4
 
 
 class TestDynamicProtocol:

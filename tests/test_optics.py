@@ -257,3 +257,66 @@ class TestOamSpectrum:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             oam_spectrum(ring_mode(1), ell_max=2, method="holographic")
+
+
+def projective(e, ell_max, ring):
+    return oam_spectrum(e, ell_max, method="projective", ring=ring)
+
+
+def projective_reference(e, ell_max, ring):
+    """Projective spectrum with one synthesized reference mode per charge."""
+    grid = GridSpec(n=e.n, pitch=e.pitch)
+    overlaps = np.array([
+        field_overlap(make_oam_mode(ell, ring, grid, e.wavelength), e)
+        for ell in range(-ell_max, ell_max + 1)])
+    return overlaps, np.abs(overlaps) ** 2 / e.power()
+
+
+class TestProjectiveSpectrum:
+    SMALL = GridSpec(n=128, pitch=10e-6)
+    SMALL_RING = RingSpec(radius=0.3e-3, width=0.06e-3)
+
+    def unit_power(self, e):
+        return e.with_samples(e.samples / np.sqrt(e.power()))
+
+    def assert_matches_reference(self, e, ell_max, ring):
+        spec = projective(e, ell_max, ring)
+        overlaps, fractions = projective_reference(e, ell_max, ring)
+        assert list(spec.ells) == list(range(-ell_max, ell_max + 1))
+        assert np.max(np.abs(spec.overlaps - overlaps)) <= 1e-13
+        assert np.max(np.abs(spec.fractions - fractions)) <= 1e-13
+
+    def test_random_field_matches_per_charge_overlaps(self):
+        rng = np.random.default_rng(11)
+        n = self.SMALL.n
+        e = Field2D(samples=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                    pitch=self.SMALL.pitch, wavelength=633e-9)
+        self.assert_matches_reference(self.unit_power(e), 10, self.SMALL_RING)
+
+    def test_multiplier_output_matches_per_charge_overlaps(self):
+        from hotelsim.multiplier import MultiplierPipelineConfig, multiply_oam
+        cfg = MultiplierPipelineConfig.design(
+            p=3, grid=GridSpec(n=512, pitch=40e-6))
+        out = multiply_oam(make_oam_mode(-2, cfg.ring, cfg.grid,
+                                         cfg.sorter.wavelength), cfg)
+        self.assert_matches_reference(self.unit_power(out), 9, cfg.ring)
+
+    def test_zero_window(self):
+        e = self.unit_power(make_oam_mode(1, self.SMALL_RING, self.SMALL))
+        self.assert_matches_reference(e, 0, self.SMALL_RING)
+
+    def test_undersampled_window_rejected_where_reference_is(self):
+        # 2 pi R / pitch = 188.5 pixels round the ring: l = 23 has 8.2 per
+        # cycle, l = 24 only 7.9
+        e = make_oam_mode(0, self.SMALL_RING, self.SMALL)
+        self.assert_matches_reference(e, 23, self.SMALL_RING)
+        for spectrum in (projective_reference, projective):
+            with pytest.raises(UndersampledError):
+                spectrum(e, 24, self.SMALL_RING)
+
+    def test_ring_outside_window_rejected(self):
+        e = make_oam_mode(0, self.SMALL_RING, self.SMALL)
+        wide = RingSpec(radius=0.5e-3, width=0.1e-3)
+        for spectrum in (projective_reference, projective):
+            with pytest.raises(ValueError, match="does not fit"):
+                spectrum(e, 1, wide)
