@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import re
 import sys
 import time
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -168,25 +170,42 @@ def _check_well_grid(cfg: dict) -> list:
         v.append(f"knobs.m must be odd so that x=L is a grid point, got {m}")
     if cfg["scheme"] not in SCHEMES:
         v.append(f"unknown scheme {cfg['scheme']!r}")
-    if "compression_times" in cfg and len(cfg["compression_times"]) < 2:
-        v.append("compression_times needs at least 2 points")
-    if not (1 <= cfg["input_level"] <= cfg["n_modes"]):
+    times = cfg.get("compression_times")
+    if "compression_times" in cfg and not (isinstance(times, list)
+                                           and len(times) >= 2):
+        v.append("compression_times needs a list of at least 2 points")
+    level, n_modes = cfg["input_level"], cfg["n_modes"]
+    if not isinstance(level, int):
+        v.append(f"input_level must be an integer, got {level!r}")
+    elif isinstance(n_modes, int) and not 1 <= level <= n_modes:
         v.append("input_level outside 1..n_modes")
     return v
 
 
 def _check_oam(cfg: dict) -> list:
-    v = _not_positive(cfg, "pitch", "a_target", "b", "f", "wavelength")
-    if cfg["grid_n"] < 4 or cfg["grid_n"] % 2:
+    v = _not_positive(cfg, "pitch", "a_target", "b", "f", "wavelength",
+                      "ring_radius", "ring_width", "mu")
+    sizes_ok = not v
+    for name in ("ell_window", "ell_out_max"):
+        value = cfg.get(name)
+        if value is not None and not (isinstance(value, int) and value >= 0):
+            v.append(f"{name} must be a non-negative integer, got {value!r}")
+    grid_n, p = cfg["grid_n"], cfg["p"]
+    if not (isinstance(grid_n, int) and grid_n >= 4 and grid_n % 2 == 0):
         v.append("grid_n must be an even integer >= 4")
-    radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
-    ell = cfg.get("ell", cfg.get("ell_in_max", 1))
-    ell_out = abs(int(ell)) * cfg["p"]
-    if ell_out and 2 * np.pi * radius / (ell_out * cfg["pitch"]) < 8.0:
-        v.append(
-            f"grid sampling: output charge {ell_out} has fewer than 8 "
-            "pixels per azimuthal cycle at the ring radius")
-    if cfg["p"] < 1 or cfg["p"] % 2 == 0:
+    key = "ell" if "ell" in cfg else "ell_in_max"
+    ell = cfg[key]
+    if not isinstance(ell, int):
+        v.append(f"{key} must be an integer, got {ell!r}")
+    p_ok = isinstance(p, int) and p >= 1 and p % 2 == 1
+    if sizes_ok and p_ok and isinstance(ell, int):
+        radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
+        ell_out = abs(ell) * p
+        if ell_out and 2 * np.pi * radius / (ell_out * cfg["pitch"]) < 8.0:
+            v.append(
+                f"grid sampling: output charge {ell_out} has fewer than 8 "
+                "pixels per azimuthal cycle at the ring radius")
+    if not p_ok:
         v.append("p must be odd for the symmetric fan-out scheme")
     return v
 
@@ -529,6 +548,10 @@ def run_experiment(experiment: str, cfg: dict, out_dir: Path,
         "seed": cfg["seed"],
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
         "input_hashes": {"config_file": _config_hash(config_path)},
         "metrics": metrics,
     }

@@ -6,15 +6,19 @@ the kinetic step applied exactly in the sine-transform eigenbasis of the
 Dirichlet Laplacian; a Crank-Nicolson scheme is available as a cross-check.
 Potential features (uniform offsets, ramped barriers, a moving wall) are
 described by a piecewise timeline so a whole protocol run is one object.
+A segment whose features all declare a time-independent potential
+(`constant`) has it evaluated once, and Crank-Nicolson factors its step
+matrix once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .well import PhysicalConstants, NATURAL, SpectralState, WellGeometry
 from .protocol import hotel_multiply_oracle, fix_global_phase
@@ -56,7 +60,8 @@ class GridState:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.samples, dtype=complex)
+        # a read-only view: the caller's own array stays writable
+        a = np.ascontiguousarray(self.samples, dtype=complex).view()
         if a.ndim != 1 or a.size < 2:
             raise ValueError("samples must be a 1-d vector of at least 2 points")
         a.setflags(write=False)
@@ -109,15 +114,20 @@ def to_spectral(g: GridState, n: int) -> SpectralState:
 
 # --- potential features ----------------------------------------------------
 
-def _raised_cosine(u: np.ndarray | float) -> np.ndarray | float:
+def _raised_cosine(u: float) -> float:
     """Smooth 0 -> 1 schedule on [0, 1]."""
-    u = np.clip(u, 0.0, 1.0)
-    return 0.5 * (1.0 - np.cos(np.pi * u))
+    # math, not numpy: it is called once per time step on a scalar
+    return 0.5 * (1.0 - math.cos(math.pi * min(max(u, 0.0), 1.0)))
 
+
+# Each feature says whether its potential is the same at every u
+# (`constant`); a feature that does not say is taken to vary.
 
 @dataclass(frozen=True)
 class FreeFlight:
     """No potential."""
+
+    constant = True
 
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
         return np.zeros_like(x)
@@ -130,6 +140,7 @@ class UniformOffset:
     height: float
     start: float
     stop: float
+    constant = True
 
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
         return np.where((x >= self.start) & (x < self.stop), self.height, 0.0)
@@ -147,6 +158,10 @@ class RampedBarrier:
     half_width: float
     height: float
     mode: str = "hold"
+
+    @property
+    def constant(self) -> bool:
+        return self.mode == "hold"
 
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
         if self.mode == "up":
@@ -173,10 +188,11 @@ class MovingWall:
     stop_position: float
     height: float
     edge_width: float
+    constant = False
 
     def position(self, u: float) -> float:
         return self.start_position + (self.stop_position - self.start_position) \
-            * float(_raised_cosine(u))
+            * _raised_cosine(u)
 
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
         xw = self.position(u)
@@ -192,6 +208,11 @@ class Segment:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("segment duration must be positive")
+
+    @property
+    def constant(self) -> bool:
+        return all(getattr(f, "constant", False)
+                   for f in (self.feature, *self.extra_features))
 
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
         v = np.asarray(self.feature.potential(x, u), dtype=float)
@@ -258,7 +279,8 @@ def propagate(g: GridState, timeline: PotentialTimeline,
     """Evolve under H(t) = -(hbar^2/2m) d2/dx2 + V(x, t).
 
     observer, if given, is called as observer(t, GridState) after every
-    step (used by carpet sampling and diagnostics).
+    step (used by carpet sampling and diagnostics).  The potential of a
+    constant segment is evaluated once, at its midpoint.
     """
     psi = np.array(g.samples, dtype=complex)
     x = g.x
@@ -271,10 +293,15 @@ def propagate(g: GridState, timeline: PotentialTimeline,
         norm0 = np.sum(np.abs(psi) ** 2)
         if settings.scheme == "strang-split-sine":
             kin = _kinetic_phase(g.m, g.width, dt, const)
+
+            def half_phase(u):
+                return np.exp(-0.5j * dt * seg.potential(x, u) / hbar)
+
+            fixed = half_phase(0.5) if seg.constant else None
             for k in range(nsteps):
-                u_mid = (k + 0.5) / nsteps
-                half = np.exp(-0.5j * dt * seg.potential(x, u_mid) / hbar)
-                psi *= half
+                half = fixed if fixed is not None else half_phase((k + 0.5) / nsteps)
+                # not in place: the observer may hold the previous step's array
+                psi = psi * half
                 psi = dst(dst(psi, type=1, norm="ortho") * kin, type=1, norm="ortho")
                 psi *= half
                 if observer is not None:
@@ -291,26 +318,38 @@ def propagate(g: GridState, timeline: PotentialTimeline,
     return g.with_samples(psi)
 
 
+_gtsv, _gttrf, _gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"),
+                                         dtype=complex)
+
+
 def _crank_nicolson_segment(psi, g: GridState, seg: Segment, dt: float,
                             nsteps: int, t0: float, observer):
+    """(1 + aH) psi_next = (1 - aH) psi with a = i dt / (2 hbar), taken as
+    psi_next = 2 (1 + aH)^-1 psi - psi: one tridiagonal solve per step.
+    A constant segment factors 1 + aH once."""
     const = g.constants
     x = g.x
-    m = g.m
     kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
-    off = np.full(m - 1, -kin)
+    a = 0.5j * dt / const.hbar
+    off = np.full(g.m - 1, -a * kin)
+
+    def diag(u):
+        return 1.0 + a * (2.0 * kin + seg.potential(x, u))
+
+    if seg.constant:
+        lu = _gttrf(off, diag(0.5), off)[:5]
+
+        def solve(u, b):
+            return _gttrs(*lu, b)[0]
+    else:
+        def solve(u, b):
+            return _gtsv(off, diag(u), off, b, overwrite_d=1)[3]
+
     for k in range(nsteps):
-        u_mid = (k + 0.5) / nsteps
-        diag = 2.0 * kin + seg.potential(x, u_mid)
-        # (1 + i dt/2 H) psi_next = (1 - i dt/2 H) psi
-        a = 0.5j * dt / const.hbar
-        rhs = (1.0 - a * diag) * psi
-        rhs[:-1] -= a * off * psi[1:]
-        rhs[1:] -= a * off * psi[:-1]
-        ab = np.zeros((3, m), dtype=complex)
-        ab[0, 1:] = a * off
-        ab[1, :] = 1.0 + a * diag
-        ab[2, :-1] = a * off
-        psi = solve_banded((1, 1), ab, rhs)
+        y = solve((k + 0.5) / nsteps, psi)
+        y *= 2.0
+        y -= psi
+        psi = y
         if observer is not None:
             observer(t0 + (k + 1) * dt, g.with_samples(psi))
     return psi

@@ -94,7 +94,8 @@ class Field2D:
     plane: str = "input"
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.samples, dtype=complex)
+        # a read-only view: the caller's own array stays writable
+        a = np.ascontiguousarray(self.samples, dtype=complex).view()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("field samples must form a square matrix")
         a.setflags(write=False)

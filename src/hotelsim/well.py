@@ -105,7 +105,8 @@ class SpectralState:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amps, dtype=complex)
+        # a read-only view: the caller's own array stays writable
+        a = np.ascontiguousarray(self.amps, dtype=complex).view()
         if a.ndim != 1 or a.size < 1:
             raise ValueError("amps must be a non-empty 1-d complex vector")
         a.setflags(write=False)

@@ -3,8 +3,11 @@ determinism, and manifest replay."""
 
 import dataclasses
 import json
+import platform
+
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from hotelsim import cli
@@ -142,6 +145,28 @@ class TestCommands:
         assert run_cli("run", "carpet", "--out", str(tmp_path / "r"),
                        "--set", bad) == 2
 
+    @pytest.mark.parametrize("experiment, bad, report", [
+        ("well-dynamic", "input_level=x", "input_level must be an integer"),
+        ("well-sweep", "input_level=1.5", "input_level must be an integer"),
+        ("well-sweep", "compression_times=5", "compression_times"),
+        ("oam-multiply", "ell=x", "ell must be an integer"),
+        ("oam-crosstalk", "ell_in_max=x", "ell_in_max must be an integer"),
+        ("oam-petals", "grid_n=x", "grid_n"),
+        ("oam-multiply", "ring_radius=x", "ring_radius must be positive"),
+        ("oam-multiply", "p=x", "p must be odd"),
+        ("oam-multiply", "ring_width=x", "ring_width must be positive"),
+        ("oam-petals", "mu=x", "mu must be positive"),
+        ("oam-multiply", "ell_window=x", "ell_window must be a non-negative"),
+        ("oam-crosstalk", "ell_out_max=-1", "ell_out_max must be a non-negative"),
+    ])
+    def test_mistyped_value_is_a_violation(self, tmp_path, capsys, experiment,
+                                           bad, report):
+        assert run_cli("validate", experiment, "--set", bad) == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert any(report in v for v in violations)
+        assert run_cli("run", experiment, "--out", str(tmp_path / "r"),
+                       "--set", bad) == 2
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "well-ideal",
                        "--config", str(tmp_path / "nope.yaml")) == 2
@@ -160,6 +185,15 @@ class TestRunArtifacts:
         assert manifest["config"]["working_modes"] == 512
         assert manifest["seed"] == 0
         assert "fidelity: " in capsys.readouterr().out
+
+    def test_manifest_records_environment(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "well-ideal", "--out", str(out), *FAST_IDEAL) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["platform"] == platform.platform()
 
     def test_carpet_run_writes_raster(self, tmp_path):
         out = tmp_path / "run"

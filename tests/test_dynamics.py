@@ -3,6 +3,7 @@ and the realistic protocol run."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from hotelsim.well import WellGeometry, basis_state, free_evolve, random_state
 from hotelsim.dynamics import (DynamicKnobs, FreeFlight, GridState,
@@ -16,7 +17,58 @@ G = WellGeometry(1.0)
 TAU = 2.0 * np.pi / G.omega0()
 
 
+def reference_crank_nicolson(g, seg, nsteps, observer=None):
+    """Crank-Nicolson as it was first written: every step re-evaluates the
+    potential, builds the (1 - aH) psi right-hand side and a (3, m) band
+    matrix, and calls solve_banded."""
+    const = g.constants
+    x, m = g.x, g.m
+    dt = seg.duration / nsteps
+    kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
+    off = np.full(m - 1, -kin)
+    psi = np.array(g.samples)
+    for k in range(nsteps):
+        diag = 2.0 * kin + seg.potential(x, (k + 0.5) / nsteps)
+        a = 0.5j * dt / const.hbar
+        rhs = (1.0 - a * diag) * psi
+        rhs[:-1] -= a * off * psi[1:]
+        rhs[1:] -= a * off * psi[:-1]
+        ab = np.zeros((3, m), dtype=complex)
+        ab[0, 1:] = a * off
+        ab[1, :] = 1.0 + a * diag
+        ab[2, :-1] = a * off
+        psi = solve_banded((1, 1), ab, rhs)
+        if observer is not None:
+            observer((k + 1) * dt, g.with_samples(psi))
+    return psi
+
+
+class Bump:
+    """A smooth time-dependent potential that declares no `constant`."""
+
+    def potential(self, x, u):
+        return 10.0 * np.sin(np.pi * x) * (1.0 + 0.5 * np.sin(np.pi * u))
+
+
+class PerStep:
+    """Wraps a feature without passing on its `constant`, so a segment
+    made of these evaluates its potential on every step."""
+
+    def __init__(self, feature):
+        self.feature = feature
+
+    def potential(self, x, u):
+        return self.feature.potential(x, u)
+
+
 class TestGridBridge:
+    def test_input_array_is_not_frozen(self):
+        a = np.zeros(4, complex)
+        g = GridState(samples=a, width=1.0)
+        assert a.flags.writeable
+        assert not g.samples.flags.writeable
+        assert np.shares_memory(g.samples, a)
+
     def test_round_trip_band_limited(self):
         rng = np.random.default_rng(0)
         s = random_state(G, 32, rng)
@@ -150,11 +202,11 @@ class TestPotentialFeatures:
             propagate(grid, tl, st)
 
     def test_drift_guard_measures_each_segment_alone(self):
-        # Crank-Nicolson rounding drifts the norm by ~1e-15 per step, so a
-        # long segment may legitimately gather a drift that a short one
-        # after it may not: the short one is judged on its own drift
+        # Crank-Nicolson rounding drifts the norm by ~1e-16 per step at this
+        # dt, so a long segment may legitimately gather a drift that a short
+        # one after it may not: the short one is judged on its own drift
         grid = to_grid(random_state(G, 8, np.random.default_rng(7)), 127)
-        long_seg = Segment(50.0 * TAU, FreeFlight())
+        long_seg = Segment(500.0 * TAU, FreeFlight())
         loose = PropagatorSettings(dt=TAU / 10.0, scheme="crank-nicolson",
                                    norm_drift_tol=1.0)
         drift = abs(propagate(grid, PotentialTimeline([long_seg]), loose)
@@ -163,6 +215,90 @@ class TestPotentialFeatures:
         tl = PotentialTimeline([long_seg, Segment(0.01 * TAU, FreeFlight())])
         propagate(grid, tl, PropagatorSettings(
             dt=TAU / 10.0, scheme="crank-nicolson", norm_drift_tol=drift / 10.0))
+
+
+class TestConstantSegments:
+    HOLD = RampedBarrier(center=0.5, half_width=0.03, height=1e3, mode="hold")
+    OFFSET = UniformOffset(height=2.0, start=0.5, stop=1.0)
+    SEGMENTS = {
+        "free": Segment(0.05 * TAU, FreeFlight()),
+        "hold+offset": Segment(0.05 * TAU, HOLD, extra_features=(OFFSET,)),
+        "wall": Segment(0.05 * TAU, MovingWall(start_position=1.05,
+                                               stop_position=0.6,
+                                               height=1e4, edge_width=0.01)),
+        "up-ramp": Segment(0.05 * TAU, RampedBarrier(0.5, 0.03, 1e3, "up")),
+        "no-attribute": Segment(0.05 * TAU, Bump()),
+    }
+    STEPS = 400
+
+    def test_features_declare_constancy(self):
+        assert FreeFlight().constant
+        assert self.OFFSET.constant
+        assert self.HOLD.constant
+        for mode in ("up", "down"):
+            assert not RampedBarrier(0.5, 0.03, 1e3, mode).constant
+        assert not self.SEGMENTS["wall"].feature.constant
+        assert not hasattr(Bump(), "constant")
+        constant = {name: seg.constant for name, seg in self.SEGMENTS.items()}
+        assert constant == {"free": True, "hold+offset": True, "wall": False,
+                            "up-ramp": False, "no-attribute": False}
+        assert not Segment(1.0, self.HOLD, extra_features=(Bump(),)).constant
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("name", sorted(SEGMENTS))
+    def test_crank_nicolson_matches_per_step_reference(self, name, observed):
+        seg = self.SEGMENTS[name]
+        grid = to_grid(random_state(G, 8, np.random.default_rng(11)), 255)
+        settings = PropagatorSettings(dt=seg.duration / self.STEPS,
+                                      scheme="crank-nicolson")
+        seen, ref_seen = [], []
+        out = propagate(grid, PotentialTimeline([seg]), settings,
+                        observer=(lambda t, gs: seen.append((t, gs.samples)))
+                        if observed else None)
+        ref = reference_crank_nicolson(
+            grid, seg, self.STEPS,
+            observer=(lambda t, gs: ref_seen.append((t, gs.samples)))
+            if observed else None)
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(out.samples - ref)) <= 1e-10 * peak
+        assert len(seen) == len(ref_seen) == (self.STEPS if observed else 0)
+        for (t, psi), (t_ref, psi_ref) in zip(seen, ref_seen):
+            assert t == pytest.approx(t_ref, rel=1e-14)
+            assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * peak
+
+    @pytest.mark.parametrize("scheme", ["strang-split-sine", "crank-nicolson"])
+    def test_constant_segment_equals_per_step_evaluation(self, scheme):
+        # evaluating a constant potential once changes where it is
+        # evaluated, not one bit of the result, for the split step; the
+        # factored Crank-Nicolson step matches to rounding
+        grid = to_grid(random_state(G, 8, np.random.default_rng(12)), 255)
+        settings = PropagatorSettings(dt=TAU / 4000.0, scheme=scheme)
+        once = Segment(0.05 * TAU, self.HOLD, extra_features=(self.OFFSET,))
+        per_step = Segment(0.05 * TAU, PerStep(self.HOLD),
+                           extra_features=(PerStep(self.OFFSET),))
+        assert once.constant and not per_step.constant
+        runs = []
+        for seg in (once, per_step):
+            seen = []
+            out = propagate(grid, PotentialTimeline([seg]), settings,
+                            observer=lambda t, gs: seen.append(gs.samples))
+            runs.append(np.array([*seen, out.samples]))
+        if scheme == "strang-split-sine":
+            assert np.array_equal(runs[0], runs[1])
+        else:
+            assert np.max(np.abs(runs[0] - runs[1])) <= 1e-10 * np.max(
+                np.abs(runs[1]))
+
+    @pytest.mark.parametrize("scheme", ["strang-split-sine", "crank-nicolson"])
+    def test_observed_states_stay_as_observed(self, scheme):
+        grid = to_grid(random_state(G, 4, np.random.default_rng(13)), 127)
+        seen = []
+        propagate(grid, PotentialTimeline([Segment(0.01 * TAU, FreeFlight())]),
+                  PropagatorSettings(dt=TAU / 1000.0, scheme=scheme),
+                  observer=lambda t, gs: seen.append((gs, gs.samples.copy())))
+        assert len(seen) == 10
+        for gs, copy in seen:
+            assert np.array_equal(gs.samples, copy)
 
 
 class TestCarpet:

@@ -50,6 +50,13 @@ class TestRingModes:
         with pytest.raises(ValueError):
             make_oam_mode(0, RingSpec(radius=6e-3, width=1e-3), GRID)
 
+    def test_input_array_is_not_frozen(self):
+        a = np.zeros((4, 4), complex)
+        f = Field2D(samples=a, pitch=1e-5, wavelength=633e-9)
+        assert a.flags.writeable
+        assert not f.samples.flags.writeable
+        assert np.shares_memory(f.samples, a)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(n=257)

@@ -168,6 +168,15 @@ class TestSerialization:
             s.amps[0] = 2.0
 
 
+class TestStateArrays:
+    def test_input_array_is_not_frozen(self):
+        a = np.zeros(4, complex)
+        s = SpectralState(geometry=G, amps=a)
+        assert a.flags.writeable
+        assert not s.amps.flags.writeable
+        assert np.shares_memory(s.amps, a)
+
+
 class TestConstants:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
