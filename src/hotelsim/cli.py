@@ -530,18 +530,33 @@ def _max_parallel(requested: int) -> int:
     return max(1, requested)
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _config_hash(path: str | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return None if path is None else _sha256(Path(path))
+
+
+def _file_stamps(root: Path) -> dict:
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
 
 
 def run_experiment(experiment: str, cfg: dict, out_dir: Path,
                    parallel: int = 1, config_path: str | None = None) -> dict:
     """Execute one experiment and write its artifact directory."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    before = _file_stamps(out_dir)
     metrics = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
     write_json(out_dir / "metrics.json", metrics)
+    # every file this run wrote, found by its new modification time
+    artifacts = {p.relative_to(out_dir).as_posix(): _sha256(p)
+                 for p, stamp in _file_stamps(out_dir).items()
+                 if before.get(p) != stamp and p != out_dir / "manifest.json"}
     manifest = {
         "experiment": experiment,
         "config": {k: v for k, v in cfg.items() if k != "seed"},
@@ -553,6 +568,7 @@ def run_experiment(experiment: str, cfg: dict, out_dir: Path,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "input_hashes": {"config_file": _config_hash(config_path)},
+        "artifacts": artifacts,
         "metrics": metrics,
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -110,11 +110,6 @@ class Field2D:
     def axis(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.pitch
 
-    def grid(self):
-        """Meshgrid (X, Y) with X varying along columns, Y along rows."""
-        c = self.axis()
-        return np.meshgrid(c, c, indexing="xy")
-
     def power(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.pitch ** 2)
 
@@ -277,6 +272,33 @@ def inverse_fourier_lens(e: Field2D, f: float) -> Field2D:
                    wavelength=e.wavelength, plane=e.plane + ">inv-fourier")
 
 
+def _xy(e: Field2D):
+    """The raster's x axis as a row and y axis as a column, for broadcasting."""
+    c = e.axis()
+    return c[None, :], c[:, None]
+
+
+def _log_polar(x: np.ndarray, y: np.ndarray, b: float):
+    """log(r / b), -inf on the axis, and the full-turn azimuth atan2(y, x)."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.hypot(x, y) / b), np.arctan2(y, x)
+
+
+def _phase1(x, y, logr, theta, cfg: SorterConfig) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        term = y * theta - x * logr + x
+    term = np.where(logr > -np.inf, term, 0.0)
+    return cfg.a * (2.0 * np.pi / (cfg.wavelength * cfg.f)) * term
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), written as cos and sin into one complex array."""
+    out = np.empty(np.shape(phase), dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def sorter_phase1(x: np.ndarray, y: np.ndarray, cfg: SorterConfig) -> np.ndarray:
     """Unwrapper phase profile (the highly astigmatic element).
 
@@ -284,32 +306,27 @@ def sorter_phase1(x: np.ndarray, y: np.ndarray, cfg: SorterConfig) -> np.ndarray
     full-turn atan2 branch keeps the whole annulus mapped onto one strip.
     The removable singularity at the axis is set to zero.
     """
-    r = np.hypot(x, y)
-    theta = np.arctan2(y, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = y * theta - x * np.log(r / cfg.b) + x
-    term = np.where(r > 0, term, 0.0)
-    return cfg.a * (2.0 * np.pi / (cfg.wavelength * cfg.f)) * term
+    return _phase1(x, y, *_log_polar(x, y, cfg.b), cfg)
 
 
 def sorter_phase2(u: np.ndarray, v: np.ndarray, cfg: SorterConfig) -> np.ndarray:
     """Phase corrector in the transform plane.
 
     phi2 = -a b (2 pi / lambda f) exp(-u / a) cos(v / a); it stops the
-    unwrapping once the log-polar map is complete.
+    unwrapping once the log-polar map is complete.  With u a row and v a
+    column, exp(-u / a) and cos(v / a) are vectors and only their product
+    is a full raster.
     """
     return (-cfg.a * cfg.b * (2.0 * np.pi / (cfg.wavelength * cfg.f))
             * np.exp(-u / cfg.a) * np.cos(v / cfg.a))
 
 
 def apply_sorter_mask1(e: Field2D, cfg: SorterConfig) -> Field2D:
-    X, Y = e.grid()
-    return e.with_samples(e.samples * np.exp(1j * sorter_phase1(X, Y, cfg)))
+    return e.with_samples(e.samples * _phasor(sorter_phase1(*_xy(e), cfg)))
 
 
 def apply_sorter_mask2(e: Field2D, cfg: SorterConfig) -> Field2D:
-    U, V = e.grid()
-    return e.with_samples(e.samples * np.exp(1j * sorter_phase2(U, V, cfg)))
+    return e.with_samples(e.samples * _phasor(sorter_phase2(*_xy(e), cfg)))
 
 
 def sorter_unwrap(e: Field2D, cfg: SorterConfig) -> Field2D:
@@ -324,11 +341,11 @@ def sorter_unwrap(e: Field2D, cfg: SorterConfig) -> Field2D:
 
 def sorter_wrap(e: Field2D, cfg: SorterConfig) -> Field2D:
     """Strip -> annulus: the exact operator inverse of sorter_unwrap."""
-    U, V = e.grid()
-    undo2 = e.with_samples(e.samples * np.exp(-1j * sorter_phase2(U, V, cfg)))
+    undo2 = e.with_samples(
+        e.samples * _phasor(sorter_phase2(*_xy(e), cfg)).conj())
     back = inverse_fourier_lens(undo2, cfg.f)
-    X, Y = back.grid()
-    out = back.with_samples(back.samples * np.exp(-1j * sorter_phase1(X, Y, cfg)))
+    out = back.with_samples(
+        back.samples * _phasor(sorter_phase1(*_xy(back), cfg)).conj())
     return replace(out, plane="wrapped")
 
 

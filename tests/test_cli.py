@@ -2,8 +2,10 @@
 determinism, and manifest replay."""
 
 import dataclasses
+import hashlib
 import json
 import platform
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +197,22 @@ class TestRunArtifacts:
         assert manifest["scipy"] == scipy.__version__
         assert manifest["platform"] == platform.platform()
 
+    def test_manifest_hashes_every_artifact(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "series").mkdir(parents=True)
+        stale = out / "series" / "stale.csv"
+        stale.write_text("from an earlier run\n")
+        assert run_cli("run", "carpet", "--out", str(out), *FAST_CARPET) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.relative_to(out).as_posix()
+                         for p in out.rglob("*")
+                         if p.is_file() and p.name not in ("manifest.json",
+                                                           "stale.csv"))
+        assert "rasters/carpet.bin" in written
+        assert sorted(manifest["artifacts"]) == written
+        for rel, digest in manifest["artifacts"].items():
+            assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
+
     def test_carpet_run_writes_raster(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "carpet", "--out", str(out), *FAST_CARPET) == 0
@@ -309,6 +327,34 @@ class TestRasterContainer:
         data = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         p = tmp_path / "c.bin"
         write_raster(p, data)
+        assert np.array_equal(read_raster(p), data)
+
+    @staticmethod
+    def reference_raster_bytes(data):
+        """The container built by interleaving into a new array."""
+        flags = 1 if np.iscomplexobj(data) else 0
+        header = b"HSIM" + struct.pack("<III", *data.shape, flags)
+        if flags:
+            flat = np.empty(data.size * 2, dtype="<f8")
+            flat[0::2] = data.real.ravel()
+            flat[1::2] = data.imag.ravel()
+        else:
+            flat = np.ascontiguousarray(data, dtype="<f8").ravel()
+        return header + flat.tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "transposed",
+                                      "complex64", "integer"])
+    def test_streamed_file_matches_interleaved_layout(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        data = {"complex": data, "real": data.real,
+                "transposed": data.T, "complex64": data.astype(np.complex64),
+                "integer": np.arange(54).reshape(6, 9)}[kind]
+        p = tmp_path / "s.bin"
+        write_raster(p, data)
+        want = self.reference_raster_bytes(data)
+        assert (hashlib.sha256(p.read_bytes()).hexdigest()
+                == hashlib.sha256(want).hexdigest())
         assert np.array_equal(read_raster(p), data)
 
     def test_header_magic_guard(self, tmp_path):

@@ -5,15 +5,91 @@ import pytest
 
 from hotelsim.multiplier import (AmbiguousHarmonicError, CrosstalkMatrix,
                                  MultiplierPipelineConfig, _count_petals,
-                                 crosstalk_matrix, multiply_oam, petal_test)
-from hotelsim.optics import (GridSpec, RingSpec, field_overlap, make_oam_mode,
-                             oam_spectrum)
+                                 _petal_input, crosstalk_matrix, multiply_oam,
+                                 petal_test)
+from hotelsim.optics import (GridSpec, RingSpec, fanout_grating_phase,
+                             fanout_order_coefficients, field_overlap,
+                             fourier_lens, inverse_fourier_lens, make_oam_mode,
+                             oam_spectrum, sorter_phase2)
 
 CFG = MultiplierPipelineConfig.design(p=3)
 
 
 def bench_mode(ell, cfg=CFG):
     return make_oam_mode(ell, cfg.ring, cfg.grid, cfg.sorter.wavelength)
+
+
+def reference_multiply_oam(e, cfg, correct_phases=True, diagnostics=None):
+    """The bench stage by stage, as multiply_oam ran before it became one
+    pass: full meshgrids, both sorter masks built again for the wrap, a
+    fresh raster per stage and shifted FFTs.  The one-pass multiply_oam
+    must match it."""
+    if diagnostics is None:
+        diagnostics = {}
+    s = cfg.sorter
+
+    def grid(f):
+        c = f.axis()
+        return np.meshgrid(c, c, indexing="xy")
+
+    def mask1(f, sign):
+        X, Y = grid(f)
+        r = np.hypot(X, Y)
+        theta = np.arctan2(Y, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = Y * theta - X * np.log(r / s.b) + X
+        term = np.where(r > 0, term, 0.0)
+        return np.exp(sign * 1j * s.a * (2.0 * np.pi / (s.wavelength * s.f))
+                      * term)
+
+    def mask2(f, sign):
+        return np.exp(sign * 1j * sorter_phase2(*grid(f), s))
+
+    X, Y = grid(e)
+    r = np.hypot(X, Y)
+    with np.errstate(divide="ignore"):
+        logr = np.log(np.where(r > 0, r / s.b, np.inf))
+    outside = np.abs(logr) > 0.7
+    total = np.sum(np.abs(e.samples) ** 2)
+    diagnostics["outside_annulus_fraction"] = (
+        0.0 if total == 0 else
+        float(np.sum(np.abs(e.samples[outside]) ** 2) / total))
+    if diagnostics["outside_annulus_fraction"] > 0.05:
+        diagnostics["warning"] = "off the design annulus"
+
+    lensed = fourier_lens(e.with_samples(e.samples * mask1(e, 1)), s.f)
+    strip = lensed.with_samples(lensed.samples * mask2(lensed, 1))
+    far = fourier_lens(strip, cfg.sorter.f)
+    yf = far.axis()[:, None] * np.ones(far.n)
+    grating = np.exp(1j * fanout_grating_phase(yf, cfg.fanout))
+    image = inverse_fourier_lens(far.with_samples(far.samples * grating),
+                                 cfg.sorter.f)
+    diagnostics["strip_power"] = strip.power()
+
+    n = image.n
+    mid = n // 2
+    k = cfg.strip_pixels
+    half = cfg.p // 2
+    rows = np.arange(n) - mid
+    samples = np.array(image.samples)
+    if correct_phases:
+        _, coeffs = fanout_order_coefficients(cfg.fanout, half)
+        for j, order in enumerate(range(-half, half + 1)):
+            seg = np.abs(rows + order * k) <= k // 2
+            samples[seg, :] *= np.exp(-1j * np.angle(coeffs[j]))
+
+    squeezed = np.zeros_like(samples)
+    j_out = np.arange(-(mid // cfg.p), (n - 1 - mid) // cfg.p + 1)
+    squeezed[mid + j_out, :] = np.sqrt(cfg.p) * samples[mid + cfg.p * j_out, :]
+    diagnostics["copies_power"] = float(
+        np.sum(np.abs(squeezed[np.abs(rows) <= k // 2, :]) ** 2)
+        * image.pitch ** 2)
+
+    undo2 = image.with_samples(squeezed * mask2(image, -1))
+    back = inverse_fourier_lens(undo2, s.f)
+    out = back.with_samples(back.samples * mask1(back, -1))
+    diagnostics["output_power"] = out.power()
+    return out
 
 
 class TestDesign:
@@ -94,6 +170,51 @@ class TestMultiplication:
         multiply_oam(e, CFG, diagnostics=diag)
         assert diag["outside_annulus_fraction"] > 0.05
         assert "warning" in diag
+
+
+class TestOnePassBench:
+    """multiply_oam against the stage-by-stage reference_multiply_oam."""
+
+    @pytest.mark.parametrize("correct_phases", [True, False])
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    def test_matches_stage_by_stage_reference(self, ell, correct_phases):
+        e = bench_mode(ell)
+        before = e.samples.copy()
+        diag, ref_diag = {}, {}
+        out = multiply_oam(e, CFG, correct_phases, diagnostics=diag)
+        ref = reference_multiply_oam(e, CFG, correct_phases, ref_diag)
+        assert np.array_equal(e.samples, before)
+        assert out.pitch == pytest.approx(ref.pitch, rel=1e-15)
+        scale = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12 * scale
+        assert diag.keys() == ref_diag.keys()
+        for key in diag:
+            assert abs(diag[key] - ref_diag[key]) <= 1e-12
+
+    def test_off_annulus_input_warns_on_both_paths(self):
+        bad_ring = RingSpec(radius=CFG.sorter.b / 4.0, width=CFG.ring.width)
+        e = make_oam_mode(1, bad_ring, CFG.grid, CFG.sorter.wavelength)
+        diag, ref_diag = {}, {}
+        out = multiply_oam(e, CFG, diagnostics=diag)
+        ref = reference_multiply_oam(e, CFG, diagnostics=ref_diag)
+        assert "warning" in diag and "warning" in ref_diag
+        assert abs(diag["outside_annulus_fraction"]
+                   - ref_diag["outside_annulus_fraction"]) <= 1e-12
+        scale = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12 * scale
+
+    def test_odd_raster_rejected(self):
+        e = bench_mode(1)
+        odd = e.with_samples(e.samples[:-1, :-1])
+        with pytest.raises(ValueError, match="even"):
+            multiply_oam(odd, CFG)
+
+    @pytest.mark.parametrize("ell", [1, 3])
+    def test_petal_input_is_the_two_mode_sum(self, ell):
+        two = (bench_mode(ell).samples + bench_mode(-ell).samples) / np.sqrt(2.0)
+        got = _petal_input(ell, CFG)
+        assert got.pitch == CFG.grid.pitch
+        assert np.max(np.abs(got.samples - two)) <= 1e-14 * np.max(np.abs(two))
 
 
 class TestCrosstalk:
