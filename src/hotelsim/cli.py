@@ -548,11 +548,29 @@ def _file_stamps(root: Path) -> dict:
 
 def run_experiment(experiment: str, cfg: dict, out_dir: Path,
                    parallel: int = 1, config_path: str | None = None) -> dict:
-    """Execute one experiment and write its artifact directory."""
+    """Execute one experiment and write its artifact directory.
+
+    A numerical failure writes error.json, and a manifest with an "error"
+    entry in place of "metrics", before it propagates.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     before = _file_stamps(out_dir)
-    metrics = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
+    try:
+        metrics = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
+    except _NUMERICAL_ERRORS as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        write_json(out_dir / "error.json", error)
+        _write_manifest(experiment, cfg, out_dir, before, config_path,
+                        {"error": error})
+        raise
     write_json(out_dir / "metrics.json", metrics)
+    _write_manifest(experiment, cfg, out_dir, before, config_path,
+                    {"metrics": metrics})
+    return metrics
+
+
+def _write_manifest(experiment: str, cfg: dict, out_dir: Path, before: dict,
+                    config_path: str | None, outcome: dict) -> None:
     # every file this run wrote, found by its new modification time
     artifacts = {p.relative_to(out_dir).as_posix(): _sha256(p)
                  for p, stamp in _file_stamps(out_dir).items()
@@ -569,10 +587,9 @@ def run_experiment(experiment: str, cfg: dict, out_dir: Path,
         "platform": platform.platform(),
         "input_hashes": {"config_file": _config_hash(config_path)},
         "artifacts": artifacts,
-        "metrics": metrics,
+        **outcome,
     }
     write_json(out_dir / "manifest.json", manifest)
-    return metrics
 
 
 def main(argv=None) -> int:
@@ -637,8 +654,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERICAL_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        write_json(out_dir / "error.json", payload)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for key in sorted(metrics):

@@ -9,6 +9,7 @@ beam closes on itself with p times the original winding.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,8 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
         diagnostics = {}
     s = cfg.sorter
     n, mid, dx = e.n, e.n // 2, e.pitch
+    # the strided 1-D transforms scale with workers; fft2 gains nothing
+    workers = len(os.sched_getaffinity(0))
     du = s.wavelength * s.f / (n * dx)      # transform-plane pitch
 
     x, y = _xy(e)
@@ -149,9 +152,9 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
 
     # the grating plane has the input pitch, and the grating varies along
     # y only: of the two lenses around it only the y transforms act
-    w = fft(w, axis=0, overwrite_x=True)
+    w = fft(w, axis=0, overwrite_x=True, workers=workers)
     w *= np.exp(1j * fanout_grating_phase(y, cfg.fanout))
-    w = ifft(w, axis=0, overwrite_x=True)
+    w = ifft(w, axis=0, overwrite_x=True, workers=workers)
 
     # phase-correct the rows the squeeze keeps, then decimate them:
     # cylindrical demagnification v -> v/p as an exact row decimation
@@ -173,9 +176,9 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
 
     # wrap; only the kept rows are nonzero until the y transform
     w[kept] = ifft(w[kept] * np.conjugate(mask2[kept]), axis=1,
-                   overwrite_x=True)
+                   overwrite_x=True, workers=workers)
     del mask2
-    w = ifft(w, axis=0, overwrite_x=True)
+    w = ifft(w, axis=0, overwrite_x=True, workers=workers)
     w *= np.conjugate(mask1, out=mask1)
     del mask1
     diagnostics["output_power"] = _power(w, dx)

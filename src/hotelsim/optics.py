@@ -9,11 +9,12 @@ of pure linear maps on immutable arrays.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 __all__ = [
     "Field2D",
@@ -34,7 +35,6 @@ __all__ = [
     "sorter_wrap",
     "fanout_grating_phase",
     "fanout_order_coefficients",
-    "fanout_phase_correction",
     "oam_spectrum",
 ]
 
@@ -227,7 +227,7 @@ def make_oam_mode(ell: int, ring: RingSpec, grid: GridSpec,
     is sampled by at least 8 pixels per cycle.
     """
     amp, x, y = _ring_geometry(ring, grid, ell)
-    fieldv = amp * np.exp(1j * ell * np.arctan2(y, x))
+    fieldv = amp * _phasor(ell * np.arctan2(y, x))
     fieldv /= np.sqrt(np.sum(np.abs(fieldv) ** 2) * grid.pitch ** 2)
     return Field2D(samples=fieldv, pitch=grid.pitch, wavelength=wavelength,
                    plane="input")
@@ -291,11 +291,38 @@ def _phase1(x, y, logr, theta, cfg: SorterConfig) -> np.ndarray:
     return cfg.a * (2.0 * np.pi / (cfg.wavelength * cfg.f)) * term
 
 
+def _side_by_side(first, second) -> None:
+    """Call first() on this thread while second() runs on a thread started
+    for it; return once both are done, re-raising second's exception here.
+
+    Only for pairs of calls that release the GIL and write disjoint memory,
+    so the result is bit for bit that of calling them one after the other.
+    The caller allocates every buffer second() writes: arrays allocated on
+    the worker come from another glibc malloc arena and raise peak RSS.
+    """
+    failure = []
+
+    def run():
+        try:
+            second()
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+
+
 def _phasor(phase: np.ndarray) -> np.ndarray:
     """exp(i phase), written as cos and sin into one complex array."""
     out = np.empty(np.shape(phase), dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    _side_by_side(lambda: np.cos(phase, out=out.real),
+                  lambda: np.sin(phase, out=out.imag))
     return out
 
 
@@ -383,27 +410,30 @@ def fanout_order_coefficients(cfg: FanoutConfig, n_orders: int | None = None
     return orders, _order_coefficients(cfg.mu, n_orders)
 
 
-def fanout_phase_correction(cfg: FanoutConfig) -> np.ndarray:
-    """arg(c_k) for each used order, lowest to highest.
-
-    The correction hologram multiplies each copy's image-plane segment by
-    exp(-i arg c_k), equalizing the copies' complex amplitudes.
-    """
-    orders, coeffs = fanout_order_coefficients(cfg, cfg.copies // 2)
-    return np.angle(coeffs)
-
-
 def _polar_samples(e: Field2D, n_theta: int, n_radii: int):
-    """Resample onto (radius, azimuth) rings by spline interpolation."""
+    """Resample onto (radius, azimuth) rings by cubic-spline interpolation.
+
+    This is scipy's map_coordinates(e.samples, [row, col], order=3) for a
+    complex field, with the real and imaginary parts prefiltered and
+    sampled side by side instead of one after the other.
+    """
     half = e.n // 2 - 2
     radii = (np.arange(n_radii) + 0.5) * (half / n_radii) * e.pitch
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     rr, tt = np.meshgrid(radii, theta, indexing="ij")
-    col = rr * np.cos(tt) / e.pitch + e.n // 2
-    row = rr * np.sin(tt) / e.pitch + e.n // 2
-    vals_re = map_coordinates(e.samples.real, [row, col], order=3)
-    vals_im = map_coordinates(e.samples.imag, [row, col], order=3)
-    return radii, theta, vals_re + 1j * vals_im
+    # one (row, col) array: map_coordinates would copy a list, on the worker too
+    coords = np.array([rr * np.sin(tt), rr * np.cos(tt)]) / e.pitch + e.n // 2
+    vals = np.empty(rr.shape, dtype=complex)
+    filtered = np.empty((2,) + e.samples.shape)
+
+    def sample(part, buf, out):
+        spline_filter(part, 3, output=buf, mode="constant")
+        map_coordinates(buf, coords, output=out, order=3,
+                        mode="constant", prefilter=False)
+
+    _side_by_side(lambda: sample(e.samples.real, filtered[0], vals.real),
+                  lambda: sample(e.samples.imag, filtered[1], vals.imag))
+    return radii, theta, vals
 
 
 def oam_spectrum(e: Field2D, ell_max: int, method: str = "azimuthal-decomposition",
@@ -452,13 +482,17 @@ def oam_spectrum(e: Field2D, ell_max: int, method: str = "azimuthal-decompositio
         weighted = amp[keep] * e.samples[keep]
         sums = np.empty(ells.size, dtype=complex)
         sums[ell_max] = weighted.sum()
-        back = turn.conj()
-        down, up = weighted, weighted
-        for ell in range(1, ell_max + 1):
-            down = down * back
-            up = up * turn
-            sums[ell_max + ell] = down.sum()
-            sums[ell_max - ell] = up.sum()
+        terms = np.empty((2, weighted.size), dtype=complex)
+
+        def chain(step, out, sign):
+            term = weighted
+            for ell in range(1, ell_max + 1):
+                term = np.multiply(term, step, out=out)
+                sums[ell_max + sign * ell] = term.sum()
+
+        # the e^{-ilt} and e^{+ilt} chains step side by side
+        _side_by_side(lambda: chain(turn.conj(), terms[0], 1),
+                      lambda: chain(turn, terms[1], -1))
         overlaps = sums * (e.pitch ** 2 / norm)
         fracs = np.abs(overlaps) ** 2 / e.power()
         return OamSpectrum(ells=ells, fractions=fracs, overlaps=overlaps,

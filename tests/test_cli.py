@@ -312,6 +312,33 @@ class TestParallelAndEnv:
         payload = json.loads((out / "error.json").read_text())
         assert payload["error"] == "PropagationError"
 
+    def test_numerical_failure_writes_manifest(self, tmp_path, monkeypatch):
+        def explode(cfg, out, parallel):
+            raise PropagationError("norm drift 1.0e+00 over segment")
+        monkeypatch.setitem(cli._EXPERIMENTS, "carpet", dataclasses.replace(
+            cli._EXPERIMENTS["carpet"], run=explode))
+        out = tmp_path / "run"
+        assert run_cli("run", "carpet", "--out", str(out), "--seed", "5",
+                       *FAST_CARPET) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "metrics" not in manifest
+        assert manifest["error"] == {
+            "error": "PropagationError",
+            "message": "norm drift 1.0e+00 over segment"}
+        assert manifest["experiment"] == "carpet"
+        assert manifest["seed"] == 5
+        assert manifest["version"] == cli.__version__
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert sorted(manifest["artifacts"]) == ["error.json"]
+        assert manifest["artifacts"]["error.json"] == hashlib.sha256(
+            (out / "error.json").read_bytes()).hexdigest()
+        replay = resolve_config(load_config(str(out / "manifest.json")))
+        direct = resolve_config(cli._apply_set(
+            {"experiment": "carpet", "seed": 5}, FAST_CARPET[1::2]))
+        assert replay == direct
+        assert replay[1]["m"] == 127
+
 
 class TestRasterContainer:
     def test_real_round_trip(self, tmp_path):

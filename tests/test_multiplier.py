@@ -203,6 +203,14 @@ class TestOnePassBench:
         scale = np.max(np.abs(ref.samples))
         assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12 * scale
 
+    def test_repeat_call_is_byte_identical(self):
+        e = bench_mode(1)
+        diag, again = {}, {}
+        first = multiply_oam(e, CFG, diagnostics=diag).samples
+        second = multiply_oam(e, CFG, diagnostics=again).samples
+        assert first.tobytes() == second.tobytes()
+        assert diag == again
+
     def test_odd_raster_rejected(self):
         e = bench_mode(1)
         odd = e.with_samples(e.samples[:-1, :-1])

@@ -1,19 +1,31 @@
 """Paraxial toolbox: ring modes, unitary lenses, log-polar sorter masks,
 fan-out grating analysis, and azimuthal spectra."""
 
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
+import hotelsim
+from hotelsim import optics
+from hotelsim.multiplier import (MultiplierPipelineConfig, multiply_oam,
+                                 petal_test)
 from hotelsim.optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                              SorterConfig, UndersampledError, field_overlap,
                              fanout_grating_phase, fanout_order_coefficients,
-                             fanout_phase_correction, fourier_lens,
-                             inverse_fourier_lens, make_oam_mode, oam_spectrum,
-                             sorter_phase1, sorter_unwrap, sorter_wrap)
+                             fourier_lens, inverse_fourier_lens,
+                             make_oam_mode, oam_spectrum, sorter_phase1,
+                             sorter_unwrap, sorter_wrap)
 
 GRID = GridSpec(n=1024, pitch=10e-6)
 RING = RingSpec(radius=1.2e-3, width=0.2e-3)
 SORTER = SorterConfig()  # a=0.4 mm, b=1.2 mm, f=0.5 m, 633 nm
+SMALL_BENCH = MultiplierPipelineConfig.design(p=3,
+                                              grid=GridSpec(n=512, pitch=40e-6))
 
 
 def ring_mode(ell, grid=GRID, ring=RING):
@@ -205,7 +217,8 @@ class TestFanout:
         assert eff == pytest.approx(0.9255624517389279, abs=1e-9)
 
     def test_symmetric_orders_share_their_phase(self):
-        corr = fanout_phase_correction(self.CFG)
+        _, coeffs = fanout_order_coefficients(self.CFG, self.CFG.copies // 2)
+        corr = np.angle(coeffs)
         assert corr.shape == (3,)
         assert corr[0] == pytest.approx(corr[2], abs=1e-10)
 
@@ -301,9 +314,7 @@ class TestProjectiveSpectrum:
         self.assert_matches_reference(self.unit_power(e), 10, self.SMALL_RING)
 
     def test_multiplier_output_matches_per_charge_overlaps(self):
-        from hotelsim.multiplier import MultiplierPipelineConfig, multiply_oam
-        cfg = MultiplierPipelineConfig.design(
-            p=3, grid=GridSpec(n=512, pitch=40e-6))
+        cfg = SMALL_BENCH
         out = multiply_oam(make_oam_mode(-2, cfg.ring, cfg.grid,
                                          cfg.sorter.wavelength), cfg)
         self.assert_matches_reference(self.unit_power(out), 9, cfg.ring)
@@ -327,3 +338,124 @@ class TestProjectiveSpectrum:
         for spectrum in (projective_reference, projective):
             with pytest.raises(ValueError, match="does not fit"):
                 spectrum(e, 1, wide)
+
+
+def random_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return Field2D(samples=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                   pitch=10e-6, wavelength=633e-9)
+
+
+def serial_polar_samples(e, n_theta, n_radii):
+    """_polar_samples through scipy's complex map_coordinates, which
+    prefilters and samples the real part and then the imaginary part."""
+    half = e.n // 2 - 2
+    radii = (np.arange(n_radii) + 0.5) * (half / n_radii) * e.pitch
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.meshgrid(radii, theta, indexing="ij")
+    col = rr * np.cos(tt) / e.pitch + e.n // 2
+    row = rr * np.sin(tt) / e.pitch + e.n // 2
+    return radii, theta, map_coordinates(e.samples, [row, col], order=3)
+
+
+def serial_projective_overlaps(e, ell_max, ring):
+    """The projective overlaps with both charge chains stepped in one loop."""
+    amp, x, y = optics._ring_geometry(ring, GridSpec(n=e.n, pitch=e.pitch),
+                                      ell_max)
+    norm = np.sqrt(np.sum(amp ** 2) * e.pitch ** 2)
+    keep = amp > optics._RING_FLOOR
+    turn = np.exp(1j * np.arctan2(np.broadcast_to(y, amp.shape)[keep],
+                                  np.broadcast_to(x, amp.shape)[keep]))
+    weighted = amp[keep] * e.samples[keep]
+    sums = np.empty(2 * ell_max + 1, dtype=complex)
+    sums[ell_max] = weighted.sum()
+    back = turn.conj()
+    down, up = weighted, weighted
+    for ell in range(1, ell_max + 1):
+        down = down * back
+        up = up * turn
+        sums[ell_max + ell] = down.sum()
+        sums[ell_max - ell] = up.sum()
+    return sums * (e.pitch ** 2 / norm)
+
+
+class TestSideBySide:
+    """The kernels split over two threads give the serial results bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", ["random-256", "multiplied-512"])
+    def test_polar_samples_match_serial_map_coordinates(self, case):
+        if case == "random-256":
+            e = random_field(256, seed=5)
+        else:
+            e = multiply_oam(make_oam_mode(2, SMALL_BENCH.ring, SMALL_BENCH.grid,
+                                           SMALL_BENCH.sorter.wavelength),
+                             SMALL_BENCH)
+        for n_theta in (64, 256):
+            got = optics._polar_samples(e, n_theta, e.n // 2)
+            ref = serial_polar_samples(e, n_theta, e.n // 2)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ell_max", [0, 1, 15])
+    def test_projective_spectrum_matches_serial_chain(self, ell_max):
+        ring = RingSpec(radius=0.6e-3, width=0.12e-3)
+        e = random_field(256, seed=ell_max)
+        spec = oam_spectrum(e, ell_max, method="projective", ring=ring)
+        overlaps = serial_projective_overlaps(e, ell_max, ring)
+        assert np.array_equal(spec.overlaps, overlaps)
+        assert np.array_equal(spec.fractions, np.abs(overlaps) ** 2 / e.power())
+
+    @pytest.mark.parametrize("ell", [-3, 0, 2])
+    def test_ring_mode_matches_complex_exponential(self, ell):
+        grid, ring = GridSpec(n=256, pitch=10e-6), RingSpec(0.6e-3, 0.12e-3)
+        amp, x, y = optics._ring_geometry(ring, grid, ell)
+        ref = amp * np.exp(1j * ell * np.arctan2(y, x))
+        ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * grid.pitch ** 2)
+        assert make_oam_mode(ell, ring, grid).samples.tobytes() == ref.tobytes()
+
+    def test_phasor_matches_serial_cos_sin(self):
+        phase = np.random.default_rng(2).uniform(-40.0, 40.0, size=(300, 200))
+        got = optics._phasor(phase)
+        assert np.array_equal(got.real, np.cos(phase))
+        assert np.array_equal(got.imag, np.sin(phase))
+
+
+class TestThreadLifecycle:
+    def test_bench_and_spectra_leave_no_thread(self):
+        before = threading.active_count()
+        e = make_oam_mode(1, SMALL_BENCH.ring, SMALL_BENCH.grid,
+                          SMALL_BENCH.sorter.wavelength)
+        out = multiply_oam(e, SMALL_BENCH)
+        assert threading.active_count() == before
+        oam_spectrum(out, 6)
+        assert threading.active_count() == before
+        oam_spectrum(out, 6, method="projective", ring=SMALL_BENCH.ring)
+        assert threading.active_count() == before
+        petal_test(1, SMALL_BENCH)
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        src = Path(hotelsim.__file__).resolve().parents[1]
+        code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); "
+                "import hotelsim; print(threading.active_count())")
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_reaches_the_caller(self, monkeypatch, failing):
+        real = optics.spline_filter
+
+        def spline_filter(*args, **kwargs):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                raise FloatingPointError(f"prefilter failed on the {failing}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optics, "spline_filter", spline_filter)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=failing):
+            optics._polar_samples(random_field(64, seed=1), 64, 32)
+        assert threading.active_count() == before
