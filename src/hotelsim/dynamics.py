@@ -8,13 +8,18 @@ Potential features (uniform offsets, ramped barriers, a moving wall) are
 described by a piecewise timeline so a whole protocol run is one object.
 A segment whose features all declare a time-independent potential
 (`constant`) has it evaluated once, and Crank-Nicolson factors its step
-matrix once.
+matrix once.  When that potential is also flat, both schemes are diagonal
+in the DST-I basis, so the segment is not stepped at all: each observed
+state, and the end state, is one transform away from the start (a jump
+that keeps each scheme's own dispersion).  An observer may be called on
+every stride-th step only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.fft import dst
@@ -121,7 +126,9 @@ def _raised_cosine(u: float) -> float:
 
 
 # Each feature says whether its potential is the same at every u
-# (`constant`); a feature that does not say is taken to vary.
+# (`constant`); a feature that does not say is taken to vary.  A feature
+# may also offer `on_grid(x)`, the potential on a fixed grid as a function
+# of u, to do its u-independent work once per segment.
 
 @dataclass(frozen=True)
 class FreeFlight:
@@ -163,16 +170,22 @@ class RampedBarrier:
     def constant(self) -> bool:
         return self.mode == "hold"
 
-    def potential(self, x: np.ndarray, u: float) -> np.ndarray:
+    def _height(self, u: float) -> float:
         if self.mode == "up":
-            h = self.height * _raised_cosine(u)
-        elif self.mode == "down":
-            h = self.height * (1.0 - _raised_cosine(u))
-        elif self.mode == "hold":
-            h = self.height
-        else:
-            raise ValueError(f"unknown barrier mode {self.mode!r}")
-        return h * np.exp(-((x - self.center) / self.half_width) ** 8)
+            return self.height * _raised_cosine(u)
+        if self.mode == "down":
+            return self.height * (1.0 - _raised_cosine(u))
+        if self.mode == "hold":
+            return self.height
+        raise ValueError(f"unknown barrier mode {self.mode!r}")
+
+    def on_grid(self, x: np.ndarray):
+        # the profile is the costly part and does not depend on u
+        profile = np.exp(-((x - self.center) / self.half_width) ** 8)
+        return lambda u: self._height(u) * profile
+
+    def potential(self, x: np.ndarray, u: float) -> np.ndarray:
+        return self.on_grid(x)(u)
 
 
 @dataclass(frozen=True)
@@ -214,11 +227,21 @@ class Segment:
         return all(getattr(f, "constant", False)
                    for f in (self.feature, *self.extra_features))
 
+    def on_grid(self, x: np.ndarray):
+        """V(x, u) on the grid x as a function of u."""
+        first, *rest = [f.on_grid(x) if hasattr(f, "on_grid")
+                        else partial(f.potential, x)
+                        for f in (self.feature, *self.extra_features)]
+
+        def potential(u: float) -> np.ndarray:
+            v = np.asarray(first(u), dtype=float)
+            for part in rest:
+                v = v + part(u)
+            return v
+        return potential
+
     def potential(self, x: np.ndarray, u: float) -> np.ndarray:
-        v = np.asarray(self.feature.potential(x, u), dtype=float)
-        for f in self.extra_features:
-            v = v + f.potential(x, u)
-        return v
+        return self.on_grid(x)(u)
 
 
 @dataclass(frozen=True)
@@ -253,10 +276,16 @@ class PropagatorSettings:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def _kinetic_phase(m: int, width: float, dt: float, const: PhysicalConstants) -> np.ndarray:
-    n = np.arange(1, m + 1, dtype=float)
-    e = (const.hbar * np.pi * n / width) ** 2 / (2.0 * const.mass)
-    return np.exp(-1j * e * dt / const.hbar)
+def _mode_energies(g: GridState, scheme: str) -> np.ndarray:
+    """Energy of each DST-I mode of the grid under each scheme's kinetic
+    operator: the continuum energies for the split step, the eigenvalues
+    of the tridiagonal Laplacian for Crank-Nicolson."""
+    const = g.constants
+    n = np.arange(1, g.m + 1, dtype=float)
+    if scheme == "strang-split-sine":
+        return (const.hbar * np.pi * n / g.width) ** 2 / (2.0 * const.mass)
+    kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
+    return 2.0 * kin * (1.0 - np.cos(np.pi * n / (g.m + 1)))
 
 
 def _whole(ratio: float) -> int | None:
@@ -275,40 +304,78 @@ def _step_count(duration: float, dt: float) -> int:
 
 def propagate(g: GridState, timeline: PotentialTimeline,
               settings: PropagatorSettings,
-              observer=None) -> GridState:
+              observer=None, stride: int = 1) -> GridState:
     """Evolve under H(t) = -(hbar^2/2m) d2/dx2 + V(x, t).
 
     observer, if given, is called as observer(t, GridState) after every
-    step (used by carpet sampling and diagnostics).  The potential of a
-    constant segment is evaluated once, at its midpoint.
+    stride-th step, the steps counted over the whole timeline (used by
+    carpet sampling and diagnostics).  The potential of a constant
+    segment is evaluated once, at its midpoint.
+
+    When that potential is flat (v0 everywhere), a step of either scheme
+    multiplies DST-I mode k by exp(i angle_k), so the segment is a jump:
+    the state after j steps is the DST-I of c_k exp(i j angle_k), with c
+    the start's coefficients.  The split step has angle_k = -(e_k + v0)
+    dt/hbar with the continuum energies e_k; Crank-Nicolson has the
+    Cayley factor's angle_k = -2 arctan(dt (lambda_k + v0) / (2 hbar)),
+    lambda_k the eigenvalues of its tridiagonal kinetic operator, so a
+    jump keeps CN's dispersion and its dependence on dt.
     """
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(
+            f"observer stride must be a positive integer, got {stride!r}")
     psi = np.array(g.samples, dtype=complex)
     x = g.x
-    const = g.constants
-    hbar = const.hbar
+    hbar = g.constants.hbar
     t0 = 0.0
+    done = 0
     for seg in timeline.segments:
         nsteps = _step_count(seg.duration, settings.dt)
         dt = seg.duration / nsteps
         norm0 = np.sum(np.abs(psi) ** 2)
-        if settings.scheme == "strang-split-sine":
-            kin = _kinetic_phase(g.m, g.width, dt, const)
+        potential = seg.on_grid(x)
+        v = potential(0.5) if seg.constant else None
+        # the steps of this segment, counted from its start, to observe
+        marks = range(stride - done % stride, nsteps + 1, stride) \
+            if observer is not None else range(0)
+
+        def observe(j, state):
+            observer(t0 + j * dt, g.with_samples(state))
+
+        if v is not None and np.ptp(v) == 0:
+            e = _mode_energies(g, settings.scheme) + v[0]
+            if settings.scheme == "strang-split-sine":
+                angle = -e * dt / hbar
+            else:
+                angle = -2.0 * np.arctan(dt * e / (2.0 * hbar))
+            c = dst(psi, type=1, norm="ortho")
+
+            def after(j):
+                return dst(c * np.exp(1j * j * angle), type=1, norm="ortho")
+
+            for j in marks:
+                observe(j, after(j))
+            psi = after(nsteps)
+        elif settings.scheme == "strang-split-sine":
+            kin = np.exp(-1j * _mode_energies(g, settings.scheme) * dt / hbar)
 
             def half_phase(u):
-                return np.exp(-0.5j * dt * seg.potential(x, u) / hbar)
+                return np.exp(-0.5j * dt * potential(u) / hbar)
 
-            fixed = half_phase(0.5) if seg.constant else None
+            fixed = np.exp(-0.5j * dt * v / hbar) if v is not None else None
             for k in range(nsteps):
                 half = fixed if fixed is not None else half_phase((k + 0.5) / nsteps)
                 # not in place: the observer may hold the previous step's array
                 psi = psi * half
                 psi = dst(dst(psi, type=1, norm="ortho") * kin, type=1, norm="ortho")
                 psi *= half
-                if observer is not None:
-                    observer(t0 + (k + 1) * dt, g.with_samples(psi))
+                if k + 1 in marks:
+                    observe(k + 1, psi)
         else:
-            psi = _crank_nicolson_segment(psi, g, seg, dt, nsteps, t0, observer)
+            psi = _crank_nicolson_segment(psi, g, potential, v, dt, nsteps,
+                                          marks, observe)
         t0 += seg.duration
+        done += nsteps
         drift = abs(np.sum(np.abs(psi) ** 2) / norm0 - 1.0)
         if drift > settings.norm_drift_tol * max(1.0, seg.duration):
             raise PropagationError(
@@ -322,36 +389,35 @@ _gtsv, _gttrf, _gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"),
                                          dtype=complex)
 
 
-def _crank_nicolson_segment(psi, g: GridState, seg: Segment, dt: float,
-                            nsteps: int, t0: float, observer):
+def _crank_nicolson_segment(psi, g: GridState, potential, v, dt: float,
+                            nsteps: int, marks, observe):
     """(1 + aH) psi_next = (1 - aH) psi with a = i dt / (2 hbar), taken as
     psi_next = 2 (1 + aH)^-1 psi - psi: one tridiagonal solve per step.
-    A constant segment factors 1 + aH once."""
+    A constant segment (its potential v given) factors 1 + aH once."""
     const = g.constants
-    x = g.x
     kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
     a = 0.5j * dt / const.hbar
     off = np.full(g.m - 1, -a * kin)
 
-    def diag(u):
-        return 1.0 + a * (2.0 * kin + seg.potential(x, u))
+    def diag(pot):
+        return 1.0 + a * (2.0 * kin + pot)
 
-    if seg.constant:
-        lu = _gttrf(off, diag(0.5), off)[:5]
+    if v is not None:
+        lu = _gttrf(off, diag(v), off)[:5]
 
         def solve(u, b):
             return _gttrs(*lu, b)[0]
     else:
         def solve(u, b):
-            return _gtsv(off, diag(u), off, b, overwrite_d=1)[3]
+            return _gtsv(off, diag(potential(u)), off, b, overwrite_d=1)[3]
 
     for k in range(nsteps):
         y = solve((k + 0.5) / nsteps, psi)
         y *= 2.0
         y -= psi
         psi = y
-        if observer is not None:
-            observer(t0 + (k + 1) * dt, g.with_samples(psi))
+        if k + 1 in marks:
+            observe(k + 1, psi)
     return psi
 
 
@@ -380,16 +446,12 @@ def carpet(g: GridState, timeline: PotentialTimeline,
     per_row = _step_count(spacing, settings.dt)
     rows = np.zeros((time_samples, nx))
     rows[0] = np.abs(g.samples[xi]) ** 2
-    steps = 0
 
     def observer(t, gs):
-        nonlocal steps
-        steps += 1
-        if steps % per_row == 0:
-            rows[steps // per_row] = np.abs(gs.samples[xi]) ** 2
+        rows[round(t / spacing)] = np.abs(gs.samples[xi]) ** 2
 
     propagate(g, timeline, replace(settings, dt=spacing / per_row),
-              observer=observer)
+              observer=observer, stride=per_row)
     return np.linspace(0.0, total, time_samples), g.x[xi], rows
 
 

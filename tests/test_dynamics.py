@@ -1,12 +1,17 @@
 """Grid propagation: transform bridge, both schemes, potential features,
 and the realistic protocol run."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.linalg import solve_banded
 
 from hotelsim.well import WellGeometry, basis_state, free_evolve, random_state
-from hotelsim.dynamics import (DynamicKnobs, FreeFlight, GridState,
+from hotelsim import dynamics
+from hotelsim.dynamics import (SCHEMES, DynamicKnobs, FreeFlight, GridState,
                                MovingWall, PotentialTimeline,
                                PropagationError, PropagatorSettings,
                                RampedBarrier, Segment, UniformOffset, carpet,
@@ -43,11 +48,71 @@ def reference_crank_nicolson(g, seg, nsteps, observer=None):
     return psi
 
 
+def reference_strang(g, seg, nsteps, observer=None):
+    """The split step as it was before flat segments became jumps: every
+    step applies half the potential phase, the kinetic phase in the
+    DST-I basis, and the other half; a constant segment's potential is
+    evaluated once, at its midpoint."""
+    const = g.constants
+    x = g.x
+    dt = seg.duration / nsteps
+    n = np.arange(1, g.m + 1, dtype=float)
+    e = (const.hbar * np.pi * n / g.width) ** 2 / (2.0 * const.mass)
+    kin = np.exp(-1j * e * dt / const.hbar)
+    psi = np.array(g.samples)
+    for k in range(nsteps):
+        u = 0.5 if seg.constant else (k + 0.5) / nsteps
+        half = np.exp(-0.5j * dt * seg.potential(x, u) / const.hbar)
+        psi = psi * half
+        psi = dst(dst(psi, type=1, norm="ortho") * kin, type=1, norm="ortho")
+        psi *= half
+        if observer is not None:
+            observer((k + 1) * dt, g.with_samples(psi))
+    return psi
+
+
+REFERENCES = {"strang-split-sine": reference_strang,
+              "crank-nicolson": reference_crank_nicolson}
+
+
+def reference_run(grid, segments, nsteps, scheme):
+    """Every step's (t, samples) and the end state of the per-step
+    reference of `scheme`, segment after segment."""
+    seen = []
+    t0 = 0.0
+    for seg, n in zip(segments, nsteps):
+        psi = REFERENCES[scheme](
+            grid, seg, n,
+            observer=lambda t, gs: seen.append((t0 + t, gs.samples)))
+        grid = grid.with_samples(psi)
+        t0 += seg.duration
+    return seen, grid.samples
+
+
 class Bump:
     """A smooth time-dependent potential that declares no `constant`."""
 
     def potential(self, x, u):
         return 10.0 * np.sin(np.pi * x) * (1.0 + 0.5 * np.sin(np.pi * u))
+
+
+def barrier_formula(bar, x, u):
+    """RampedBarrier's potential evaluated whole, as on every step before
+    its profile was evaluated once per segment."""
+    r = 0.5 * (1.0 - math.cos(math.pi * min(max(u, 0.0), 1.0)))
+    h = {"up": bar.height * r, "down": bar.height * (1.0 - r),
+         "hold": bar.height}[bar.mode]
+    return h * np.exp(-((x - bar.center) / bar.half_width) ** 8)
+
+
+class BarrierFormula:
+    """A ramped barrier through barrier_formula, with no `constant`."""
+
+    def __init__(self, bar):
+        self.bar = bar
+
+    def potential(self, x, u):
+        return barrier_formula(self.bar, x, u)
 
 
 class PerStep:
@@ -184,6 +249,29 @@ class TestPotentialFeatures:
         with pytest.raises(ValueError):
             RampedBarrier(1.0, 0.05, 7.0, "sideways").potential(np.array([1.0]), 0.5)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("mode", ["up", "down"])
+    def test_ramp_potential_is_bitwise_the_per_step_formula(self, mode, scheme):
+        # the profile is evaluated once per segment; every step's potential
+        # must still be, bit for bit, the height times the profile
+        grid = to_grid(random_state(G, 8, np.random.default_rng(8)), 255)
+        bar = RampedBarrier(center=0.5, half_width=0.03, height=1e3, mode=mode)
+        steps = 40
+        seg = Segment(0.05 * TAU, bar)
+        on_grid = seg.on_grid(grid.x)
+        for k in range(steps):
+            u = (k + 0.5) / steps
+            assert np.array_equal(on_grid(u), barrier_formula(bar, grid.x, u))
+        runs = []
+        for feature in (bar, BarrierFormula(bar)):
+            seen = []
+            out = propagate(grid, PotentialTimeline([Segment(0.05 * TAU, feature)]),
+                            PropagatorSettings(dt=0.05 * TAU / steps,
+                                               scheme=scheme),
+                            observer=lambda t, gs: seen.append(gs.samples))
+            runs.append(np.array([*seen, out.samples]))
+        assert np.array_equal(runs[0], runs[1])
+
     def test_norm_drift_guard_raises(self):
         s = random_state(G, 8, np.random.default_rng(7))
         grid = to_grid(s, 127)
@@ -204,9 +292,11 @@ class TestPotentialFeatures:
     def test_drift_guard_measures_each_segment_alone(self):
         # Crank-Nicolson rounding drifts the norm by ~1e-16 per step at this
         # dt, so a long segment may legitimately gather a drift that a short
-        # one after it may not: the short one is judged on its own drift
+        # one after it may not: the short one is judged on its own drift.
+        # The long segment's offset covers half the well, so it is stepped:
+        # a flat potential would be one exact jump and gather no drift
         grid = to_grid(random_state(G, 8, np.random.default_rng(7)), 127)
-        long_seg = Segment(500.0 * TAU, FreeFlight())
+        long_seg = Segment(500.0 * TAU, UniformOffset(2.0, 0.5, 1.0))
         loose = PropagatorSettings(dt=TAU / 10.0, scheme="crank-nicolson",
                                    norm_drift_tol=1.0)
         drift = abs(propagate(grid, PotentialTimeline([long_seg]), loose)
@@ -299,6 +389,81 @@ class TestConstantSegments:
         assert len(seen) == 10
         for gs, copy in seen:
             assert np.array_equal(gs.samples, copy)
+
+
+class TestFlatSegments:
+    """A constant segment with a flat potential is a jump in the DST-I
+    basis, in both schemes."""
+
+    DT = TAU / 4000.0
+    FLAT = {"free": FreeFlight(), "offset": UniformOffset(3.0, -1.0, 2.0)}
+    HOLD, OFFSET = TestConstantSegments.HOLD, TestConstantSegments.OFFSET
+
+    @pytest.mark.parametrize("flat", sorted(FLAT))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_jump_matches_stepped_reference(self, scheme, flat):
+        grid = to_grid(random_state(G, 8, np.random.default_rng(21)), 255)
+        seg = Segment(400 * self.DT, self.FLAT[flat])
+        out = propagate(grid, PotentialTimeline([seg]),
+                        PropagatorSettings(dt=self.DT, scheme=scheme))
+        _, ref = reference_run(grid, [seg], [400], scheme)
+        assert np.max(np.abs(out.samples - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stride_counts_steps_over_the_timeline(self, scheme, stride):
+        # flat and stepped segments alternate, none a multiple of 7 long
+        grid = to_grid(random_state(G, 8, np.random.default_rng(22)), 255)
+        nsteps = [10, 13, 12, 9]
+        segments = [Segment(10 * self.DT, self.FLAT["free"]),
+                    Segment(13 * self.DT, Bump()),
+                    Segment(12 * self.DT, self.FLAT["offset"]),
+                    Segment(9 * self.DT, self.HOLD,
+                            extra_features=(self.OFFSET,))]
+        seen = []
+        out = propagate(grid, PotentialTimeline(segments),
+                        PropagatorSettings(dt=self.DT, scheme=scheme),
+                        observer=lambda t, gs: seen.append((t, gs.samples)),
+                        stride=stride)
+        ref_seen, ref = reference_run(grid, segments, nsteps, scheme)
+        expected = ref_seen[stride - 1::stride]
+        assert len(seen) == len(expected) == sum(nsteps) // stride
+        peak = np.max(np.abs(ref))
+        for (t, psi), (t_ref, psi_ref) in zip(seen, expected):
+            assert t == pytest.approx(t_ref, rel=1e-14)
+            assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * peak
+        assert np.max(np.abs(out.samples - ref)) <= 1e-10 * peak
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_only_flat_segments_jump(self, scheme, monkeypatch):
+        # a jump costs one transform in, one per observed state and one
+        # out; a stepped split step costs two per step, Crank-Nicolson none
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dst(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "dst", counted)
+        grid = to_grid(random_state(G, 4, np.random.default_rng(23)), 127)
+        settings = PropagatorSettings(dt=self.DT, scheme=scheme)
+        for feature in self.FLAT.values():
+            del calls[:]
+            propagate(grid, PotentialTimeline([Segment(400 * self.DT, feature)]),
+                      settings, observer=lambda t, gs: None, stride=7)
+            assert len(calls) == 1 + 400 // 7 + 1
+        del calls[:]
+        propagate(grid, PotentialTimeline([Segment(
+            400 * self.DT, self.HOLD, extra_features=(self.OFFSET,))]), settings)
+        assert len(calls) == (800 if scheme == "strang-split-sine" else 0)
+
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, "7", None])
+    def test_stride_must_be_a_positive_integer(self, stride):
+        grid = to_grid(basis_state(1, G, 4), 63)
+        tl = PotentialTimeline([Segment(10 * self.DT, FreeFlight())])
+        with pytest.raises(ValueError, match="stride.*" + re.escape(repr(stride))):
+            propagate(grid, tl, PropagatorSettings(dt=self.DT),
+                      observer=lambda t, gs: None, stride=stride)
 
 
 class TestCarpet:
