@@ -49,10 +49,10 @@ def reference_crank_nicolson(g, seg, nsteps, observer=None):
 
 
 def reference_strang(g, seg, nsteps, observer=None):
-    """The split step as it was before flat segments became jumps: every
+    """The split step taken step by step, flat segments included: every
     step applies half the potential phase, the kinetic phase in the
     DST-I basis, and the other half; a constant segment's potential is
-    evaluated once, at its midpoint."""
+    evaluated at its midpoint."""
     const = g.constants
     x = g.x
     dt = seg.duration / nsteps
@@ -97,11 +97,10 @@ class Bump:
 
 
 def barrier_formula(bar, x, u):
-    """RampedBarrier's potential evaluated whole, as on every step before
-    its profile was evaluated once per segment."""
+    """A ramping barrier's potential with its profile evaluated on every
+    call."""
     r = 0.5 * (1.0 - math.cos(math.pi * min(max(u, 0.0), 1.0)))
-    h = {"up": bar.height * r, "down": bar.height * (1.0 - r),
-         "hold": bar.height}[bar.mode]
+    h = {"up": bar.height * r, "down": bar.height * (1.0 - r)}[bar.mode]
     return h * np.exp(-((x - bar.center) / bar.half_width) ** 8)
 
 
