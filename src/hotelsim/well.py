@@ -20,7 +20,6 @@ __all__ = [
     "WellGeometry",
     "SpectralState",
     "eigenfunction",
-    "energies",
     "free_evolve",
     "mirror",
     "mode_overlap_matrix",
@@ -72,14 +71,9 @@ class WellGeometry:
         return const.hbar * np.pi**2 / (2.0 * const.mass * self.width**2)
 
     def contains(self, other: "WellGeometry") -> bool:
-        return (self.origin <= other.origin + 1e-12) and (other.end <= self.end + 1e-12)
-
-
-def energies(n: np.ndarray | int, g: WellGeometry,
-             const: PhysicalConstants = NATURAL) -> np.ndarray | float:
-    """Eigenenergies E_n = hbar * omega0 * n**2."""
-    n = np.asarray(n)
-    return const.hbar * g.omega0(const) * n.astype(float) ** 2
+        """Whether other lies inside, up to 1e-12 of the larger width."""
+        slack = 1e-12 * max(self.width, other.width)
+        return self.origin <= other.origin + slack and other.end <= self.end + slack
 
 
 def eigenfunction(n: int, x, g: WellGeometry):
@@ -126,18 +120,6 @@ class SpectralState:
     def with_amps(self, amps) -> "SpectralState":
         return replace(self, amps=np.asarray(amps, dtype=complex))
 
-    def to_dict(self) -> dict:
-        return {
-            "geometry": {"width": self.geometry.width, "origin": self.geometry.origin},
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralState":
-        g = WellGeometry(width=d["geometry"]["width"], origin=d["geometry"].get("origin", 0.0))
-        amps = np.array([complex(re, im) for re, im in d["amps"]])
-        return cls(geometry=g, amps=amps)
-
 
 def basis_state(n: int, g: WellGeometry, n_modes: int | None = None) -> SpectralState:
     """Pure eigenstate |n> represented on n_modes levels."""
@@ -169,49 +151,67 @@ def mirror(s: SpectralState) -> SpectralState:
     return s.with_amps(s.amps * signs)
 
 
-def _cos_integral(c, d, x0: float, x1: float):
-    """Exact integral of cos(c x + d) over [x0, x1], stable for any c.
-
-    Uses Delta * sinc(c Delta / 2) * cos(c xm + d) with the unnormalized
-    sinc, which has no cancellation as c -> 0.
-    """
-    dx = x1 - x0
-    xm = 0.5 * (x0 + x1)
-    z = 0.5 * c * dx
-    return dx * np.sinc(z / np.pi) * np.cos(c * xm + d)
+def _phases(g: WellGeometry, n: int, *xs: float) -> tuple[np.ndarray, np.ndarray]:
+    """sin, cos of pi m (x - origin) / width mod 2 pi; a row per x, m = 1..n."""
+    t = np.mod(np.outer((np.array(xs) - g.origin) / g.width, np.arange(1, n + 1)), 2.0)
+    return np.sin(np.pi * t), np.cos(np.pi * t)
 
 
 @lru_cache(maxsize=64)
-def mode_overlap_matrix(source: WellGeometry, n_source: int,
-                        target: WellGeometry, n_target: int) -> np.ndarray:
-    """Exact overlaps S[m, n] = <target mode m+1 | source mode n+1>.
-
-    Integration runs over the intersection of the two wells (each mode is
-    zero outside its own well).  Closed form via the product-to-sum
-    identity for sines.  Cached: protocol runs reuse the same geometries.
-    """
+def _overlap_pair(source: WellGeometry, n_source: int,
+                  target: WellGeometry, n_target: int) -> np.ndarray:
     x0 = max(source.origin, target.origin)
     x1 = min(source.end, target.end)
     if x1 <= x0:
         z = np.zeros((n_target, n_source))
         z.setflags(write=False)
         return z
-    ns = np.arange(1, n_source + 1)
-    mt = np.arange(1, n_target + 1)
-    ks = np.pi * ns / source.width           # (n,)
-    kt = np.pi * mt / target.width           # (m,)
-    # sin(ks x + ps) with ps = -ks * origin
-    ps = -ks * source.origin
-    pt = -kt * target.origin
-    Ks = ks[None, :]
-    Kt = kt[:, None]
-    Ps = ps[None, :]
-    Pt = pt[:, None]
-    integral = 0.5 * (_cos_integral(Ks - Kt, Ps - Pt, x0, x1)
-                      - _cos_integral(Ks + Kt, Ps + Pt, x0, x1))
-    out = np.sqrt(4.0 / (source.width * target.width)) * integral
+    ws, wt = source.width, target.width
+    m, n = np.arange(1, n_target + 1), np.arange(1, n_source + 1)
+    kt, ks = np.pi * m / wt, np.pi * n / ws
+    sa, ca = _phases(target, n_target, x0, x1)
+    sb, cb = _phases(source, n_source, x0, x1)
+    # With A = kt (x - target.origin) and B = ks (x - source.origin), the
+    # integral of sin A sin B is [ks sin A cos B - kt cos A sin B] / den from
+    # x0 to x1: one (n_target x 4) @ (4 x n_source) product.  den = kt^2 - ks^2
+    # = (pi / (ws wt))^2 ((m ws)^2 - (n wt)^2), exact for integer widths.
+    scale = 2.0 / np.sqrt(ws * wt)
+    left = np.stack([sa[1], -sa[0], -kt * ca[1], kt * ca[0]], axis=1)
+    left *= scale * (ws * wt / np.pi) ** 2
+    out = left @ np.stack([ks * cb[1], ks * cb[0], sb[1], sb[0]])
+    den = np.subtract.outer((m * ws) ** 2, (n * wt) ** 2)
+    # Resonant entries, kt = ks, are m ws = n wt to rounding (den may not be 0
+    # there); limit: [(x1 - x0) cos(A - B) - (sin(A + B) from x0 to x1) / (2 kt)] / 2.
+    r = m * (ws / wt)
+    hit = np.rint(r)
+    rows = np.flatnonzero((np.abs(r - hit) <= 1e-13 * r) & (hit <= n_source))
+    cols = hit[rows].astype(int) - 1
+    den[rows, cols] = 1.0
+    out /= den
+    sin_sum = sa[:, rows] * cb[:, cols] + ca[:, rows] * sb[:, cols]
+    cos_diff = ca[0, rows] * cb[0, cols] + sa[0, rows] * sb[0, cols]
+    out[rows, cols] = 0.5 * scale * ((x1 - x0) * cos_diff
+                                     - (sin_sum[1] - sin_sum[0]) / (2.0 * kt[rows]))
     out.setflags(write=False)
     return out
+
+
+def mode_overlap_matrix(source: WellGeometry, n_source: int,
+                        target: WellGeometry, n_target: int) -> np.ndarray:
+    """Exact overlaps S[m, n] = <target mode m+1 | source mode n+1>.
+
+    Integration runs over the intersection of the two wells (each mode is
+    zero outside its own well), in closed form.  Cached, read-only, real;
+    `cache_info` counts one entry per unordered pair, built with no more
+    rows than columns.  The other direction is its transposed view, as
+    fast in a matrix-vector product (the transpose of a tall array is not).
+    """
+    if (n_source, source.width, source.origin) < (n_target, target.width, target.origin):
+        return _overlap_pair(target, n_target, source, n_source).T
+    return _overlap_pair(source, n_source, target, n_target)
+
+
+mode_overlap_matrix.cache_info = _overlap_pair.cache_info
 
 
 def project(s: SpectralState, target: WellGeometry, n_modes: int) -> SpectralState:

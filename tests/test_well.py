@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hotelsim.well import (DomainError, GeometryError, NATURAL,
                            PhysicalConstants, SpectralState, WellGeometry,
-                           basis_state, eigenfunction, energies, evaluate,
+                           basis_state, eigenfunction, evaluate,
                            fidelity, free_evolve, mirror, mode_overlap_matrix,
                            overlap, project, random_state, rebase)
 
@@ -20,6 +20,39 @@ def quad_overlap(n, gn, m, gm, points=20001):
     x1 = min(gn.end, gm.end)
     x = np.linspace(x0, x1, points)
     return np.trapezoid(eigenfunction(m, x, gm) * eigenfunction(n, x, gn), x)
+
+
+def gauss_overlap(source, n_source, target, n_target, panels=64, order=64):
+    """Composite Gauss-Legendre <target m | source n> on the intersection."""
+    x0 = max(source.origin, target.origin)
+    x1 = min(source.end, target.end)
+    t, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(x0, x1, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (t + 1.0)).ravel()
+    weights = (half * w).ravel()
+
+    def modes(g, n):
+        return np.array([eigenfunction(k, x, g) for k in range(1, n + 1)])
+
+    return (modes(target, n_target) * weights) @ modes(source, n_source).T
+
+
+def sinc_overlap(source, n_source, target, n_target):
+    """The product-to-sum overlap formula that the closed form replaced."""
+    def cos_integral(c, d, x0, x1):
+        # exact integral of cos(c x + d) over [x0, x1], stable as c -> 0
+        dx = x1 - x0
+        return dx * np.sinc(0.5 * c * dx / np.pi) * np.cos(c * 0.5 * (x0 + x1) + d)
+
+    x0 = max(source.origin, target.origin)
+    x1 = min(source.end, target.end)
+    ks = np.pi * np.arange(1, n_source + 1)[None, :] / source.width
+    kt = np.pi * np.arange(1, n_target + 1)[:, None] / target.width
+    ps, pt = -ks * source.origin, -kt * target.origin
+    integral = 0.5 * (cos_integral(ks - kt, ps - pt, x0, x1)
+                      - cos_integral(ks + kt, ps + pt, x0, x1))
+    return np.sqrt(4.0 / (source.width * target.width)) * integral
 
 
 class TestGeometry:
@@ -40,6 +73,17 @@ class TestGeometry:
         assert WellGeometry(2.0).contains(G)
         assert not G.contains(WellGeometry(2.0))
 
+    def test_containment_slack_scales_with_width(self):
+        # 4e-13 is 0.04 % of a 1e-9 well; 1e-9 is 1e-15 of a 1e6 well
+        tiny = WellGeometry(1e-9)
+        assert not tiny.contains(WellGeometry(1e-9, origin=4e-13))
+        assert not tiny.contains(WellGeometry(1e-9, origin=-4e-13))
+        assert tiny.contains(WellGeometry(0.5e-9, origin=0.5e-9))
+        huge = WellGeometry(1e6)
+        assert huge.contains(WellGeometry(1e6, origin=1e-9))
+        assert huge.contains(WellGeometry(1e6, origin=-1e-9))
+        assert not huge.contains(WellGeometry(1e6, origin=1e-3))
+
 
 class TestEigenfunctions:
     def test_orthonormality_by_quadrature(self):
@@ -53,9 +97,16 @@ class TestEigenfunctions:
             eigenfunction(1, np.array([1.5]), G)
 
     def test_energy_ladder(self):
-        n = np.arange(1, 6)
-        e = energies(n, G)
-        assert np.allclose(e / e[0], n.astype(float) ** 2)
+        # -(hbar^2 / 2 mass) h_n'' = hbar omega0 n^2 h_n, by central differences
+        c = PhysicalConstants(hbar=2.0, mass=0.5)
+        x, h = np.linspace(0.05, 0.95, 19), 1e-4
+        for n in range(1, 6):
+            psi = eigenfunction(n, x, G)
+            d2 = (eigenfunction(n, x + h, G) - 2.0 * psi
+                  + eigenfunction(n, x - h, G)) / h ** 2
+            e_n = c.hbar * G.omega0(c) * n ** 2
+            assert np.max(np.abs(-c.hbar ** 2 / (2.0 * c.mass) * d2 - e_n * psi)) \
+                <= 1e-5 * e_n * np.max(np.abs(psi))
 
 
 class TestFreeEvolution:
@@ -89,7 +140,7 @@ class TestFreeEvolution:
 class TestOverlapMatrix:
     def test_matches_quadrature_same_well(self):
         S = mode_overlap_matrix(G, 6, G, 6)
-        assert np.max(np.abs(S - np.eye(6))) < 1e-12
+        assert np.max(np.abs(S - np.eye(6))) <= 1e-15
 
     def test_matches_quadrature_nested_wells(self):
         big = WellGeometry(2.0)
@@ -105,6 +156,52 @@ class TestOverlapMatrix:
         for m in range(1, 9):
             for n in range(1, 4):
                 assert abs(S[m - 1, n - 1] - quad_overlap(n, right, m, big)) < 1e-8
+
+    @pytest.mark.parametrize("source, n_source, target, n_target", [
+        (G, 64, WellGeometry(2.0), 256),                       # nested
+        (WellGeometry(1.0, origin=1.0), 64, WellGeometry(2.0), 256),  # shifted
+        (WellGeometry(2.0), 256, WellGeometry(1.0, origin=0.5), 128),  # wide -> narrow
+        (G, 200, WellGeometry(1.4, origin=0.3), 256),         # partial overlap
+        (WellGeometry(2.0, origin=-0.5), 256, WellGeometry(3.0, origin=0.25), 256),
+    ] + [(G, 256, WellGeometry(1.0 / p, origin=j / p), 256 // p)
+         for p in (3, 5, 7) for j in range(p)])               # sub-wells
+    def test_matches_gauss_legendre_quadrature(self, source, n_source,
+                                               target, n_target):
+        want = gauss_overlap(source, n_source, target, n_target)
+        # every entry, resonant ones (k_target = k_source) among them
+        m = np.arange(1, n_target + 1)[:, None] * source.width
+        n = np.arange(1, n_source + 1)[None, :] * target.width
+        assert np.any(np.isclose(m, n, rtol=1e-12, atol=0))
+        got = mode_overlap_matrix(source, n_source, target, n_target)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        back = mode_overlap_matrix(target, n_target, source, n_source)
+        assert np.max(np.abs(back - want.T)) <= 1e-12
+
+    @pytest.mark.parametrize("p, n_big, n_sub", [(2, 8192, 128), (3, 12288, 8)])
+    def test_matches_the_sinc_formula_it_replaces(self, p, n_big, n_sub):
+        # the AC1 (p = 2) and AC4 (p = 3) geometries, both directions
+        big = WellGeometry(float(p))
+        for j in range(p):
+            sub = WellGeometry(1.0, origin=float(j))
+            for args in ((sub, n_sub, big, n_big), (big, n_big, sub, n_sub)):
+                err = np.max(np.abs(mode_overlap_matrix(*args) - sinc_overlap(*args)))
+                assert err <= 1e-13
+
+    def test_each_pair_of_wells_is_built_once(self):
+        # geometries no other test uses, so each pair starts uncached
+        a, b = WellGeometry(1.25, origin=0.125), WellGeometry(2.5, origin=-0.5)
+        c = WellGeometry(0.75, origin=1.0)
+        for first, second in (((a, 40, b, 96), (b, 96, a, 40)),
+                              ((b, 96, c, 24), (c, 24, b, 96))):
+            misses = mode_overlap_matrix.cache_info().misses
+            one = mode_overlap_matrix(*first)
+            other = mode_overlap_matrix(*second)
+            assert mode_overlap_matrix.cache_info().misses == misses + 1
+            assert np.shares_memory(one, other)
+            assert np.array_equal(other, one.T)
+            for S in (one, other):
+                assert S.dtype == np.float64
+                assert not S.flags.writeable
 
     def test_disjoint_wells_give_zero(self):
         far = WellGeometry(1.0, origin=5.0)
@@ -155,13 +252,6 @@ class TestProjection:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        s = random_state(WellGeometry(2.5, origin=-1.0), 6, rng)
-        back = SpectralState.from_dict(s.to_dict())
-        assert back.geometry == s.geometry
-        assert np.allclose(back.amps, s.amps)
-
     def test_amps_are_immutable(self):
         s = basis_state(1, G, 4)
         with pytest.raises(ValueError):
