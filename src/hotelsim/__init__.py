@@ -6,22 +6,9 @@ protocol with realistic potentials (`dynamics`), and a paraxial-optics
 bench multiplying the azimuthal index of ring beams (`optics`,
 `multiplier`).  The `cli` module exposes everything as reproducible,
 manifest-driven experiment runs.
+
+The tier modules are the API: import from `hotelsim.<tier>`, whose
+`__all__` lists its public names.  Importing this package loads no tier.
 """
 
 __version__ = "1.0.0"
-
-from .well import (SpectralState, WellGeometry, PhysicalConstants,
-                   basis_state, free_evolve, mirror, project, rebase,
-                   overlap, fidelity, random_state)
-from .protocol import (ProtocolConfig, hotel_shift, hotel_multiply_oracle,
-                       run_ideal_protocol, run_ideal_protocol_p)
-from .dynamics import (DynamicKnobs, GridState, PropagatorSettings,
-                       run_dynamic_protocol, propagate, carpet,
-                       to_grid, to_spectral)
-from .optics import (Field2D, GridSpec, RingSpec, SorterConfig, FanoutConfig,
-                     make_oam_mode, fourier_lens, sorter_unwrap, sorter_wrap,
-                     fanout_order_coefficients, oam_spectrum)
-from .multiplier import (MultiplierPipelineConfig, multiply_oam,
-                         crosstalk_matrix, petal_test)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

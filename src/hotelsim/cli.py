@@ -33,7 +33,7 @@ from . import __version__
 from .io import write_csv, write_json, write_raster
 from .well import SpectralState, WellGeometry, basis_state, random_state
 from .protocol import (CopyFitError, NodeConditionError, ProtocolConfig,
-                       hotel_multiply_oracle, run_ideal_protocol_p)
+                       oracle_score, run_ideal_protocol_p)
 from .dynamics import (SCHEMES, DynamicKnobs, FreeFlight, PotentialTimeline,
                        PropagationError, PropagatorSettings, Segment, carpet,
                        run_dynamic_protocol, to_grid)
@@ -63,10 +63,11 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown configuration key: {where}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, where)
-        else:
-            out[key] = value
+        section = isinstance(defaults[key], dict)
+        if section != isinstance(value, dict):
+            kind = "a mapping" if section else "a value, not a mapping"
+            raise ConfigError(f"{where} must be {kind}, got {value!r}")
+        out[key] = _merge(defaults[key], value, where) if section else value
     return out
 
 
@@ -93,6 +94,8 @@ def _apply_set(config: dict, assignments: list) -> dict:
         node = out
         keys = dotted.split(".")
         for k in keys[:-1]:
+            if not isinstance(node.get(k, {}), dict):
+                raise ConfigError(f"--set {dotted}: {k} is not a mapping")
             nxt = dict(node.get(k, {}))
             node[k] = nxt
             node = nxt
@@ -210,6 +213,13 @@ def _check_oam(cfg: dict) -> list:
     return v
 
 
+def _check_oam_petals(cfg: dict) -> list:
+    v = _check_oam(cfg)
+    if isinstance(cfg["ell"], int) and cfg["ell"] < 1:
+        v.append(f"ell must be positive for the petal test, got {cfg['ell']}")
+    return v
+
+
 def _check_carpet(cfg: dict) -> list:
     v = _not_positive(cfg, "width", "duration_tau", "m", "space_samples",
                       "dt_steps_per_tau")
@@ -299,12 +309,7 @@ def _run_well_ideal(cfg: dict, out: Path, parallel: int) -> dict:
     pcfg = ProtocolConfig(p=cfg["p"], n_modes=cfg["n_modes"],
                           working_modes=cfg["working_modes"])
     result, trace = run_ideal_protocol_p(state, pcfg)
-    oracle = hotel_multiply_oracle(state, cfg["p"])
-    k = min(result.n_modes, oracle.n_modes)
-    fidelity = float(abs(np.vdot(oracle.amps[:k], result.amps[:k])) ** 2)
-    occupied = np.zeros(result.n_modes, dtype=bool)
-    occupied[cfg["p"] - 1::cfg["p"]] = True
-    leakage = float(np.sum(np.abs(result.amps[~occupied]) ** 2))
+    fidelity, leakage = oracle_score(result, state, cfg["p"])
     _write_amps(out, result)
     residuals = trace.copy_residuals
     return {
@@ -504,7 +509,7 @@ _EXPERIMENTS = {
     "oam-petals": Experiment({
         "ell": 2,
         **_OAM_BENCH,
-    }, _check_oam, _run_oam_petals),
+    }, _check_oam_petals, _run_oam_petals),
     "carpet": Experiment({
         "levels": [1, 2],
         "width": 1.0,

@@ -26,7 +26,7 @@ from scipy.fft import dst
 from scipy.linalg import get_lapack_funcs
 
 from .well import PhysicalConstants, NATURAL, SpectralState, WellGeometry
-from .protocol import hotel_multiply_oracle, fix_global_phase
+from .protocol import fix_global_phase, oracle_score
 
 __all__ = [
     "GridState",
@@ -582,16 +582,11 @@ def run_dynamic_protocol(s: SpectralState, knobs: DynamicKnobs,
     out = to_spectral(half, n_out)
     step_norms["project"] = float(np.sum(np.abs(out.amps) ** 2))
 
-    oracle = hotel_multiply_oracle(s, 2)
-    k = min(out.n_modes, oracle.n_modes)
-    fid = abs(np.vdot(oracle.amps[:k], out.amps[:k])) ** 2
-    mask = np.ones(out.n_modes, dtype=bool)
-    mask[1::2] = False
-    leakage = float(np.sum(np.abs(out.amps[mask]) ** 2))
+    fid, leakage = oracle_score(out, s, 2)
     if step_norms["project"] < 0.9:
         warnings.append(
             f"only {step_norms['project']:.3f} of the norm ended up in (0, L); "
             "wall too low or compression too fast")
-    report = FidelityReport(fidelity=float(fid), odd_level_leakage=leakage,
+    report = FidelityReport(fidelity=fid, odd_level_leakage=leakage,
                             step_norms=step_norms, warnings=warnings)
     return fix_global_phase(out), report

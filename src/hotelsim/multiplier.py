@@ -119,8 +119,10 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
         diagnostics = {}
     s = cfg.sorter
     n, mid, dx = e.n, e.n // 2, e.pitch
-    # the strided 1-D transforms scale with workers; fft2 gains nothing
-    workers = len(os.sched_getaffinity(0))
+    # the strided 1-D transforms scale with workers; fft2 gains nothing.
+    # os.sched_getaffinity is Linux-only; elsewhere every CPU counts.
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     du = s.wavelength * s.f / (n * dx)      # transform-plane pitch
 
     x, y = _xy(e)

@@ -29,8 +29,6 @@ __all__ = [
     "inverse_fourier_lens",
     "sorter_phase1",
     "sorter_phase2",
-    "apply_sorter_mask1",
-    "apply_sorter_mask2",
     "sorter_unwrap",
     "sorter_wrap",
     "fanout_grating_phase",
@@ -240,14 +238,6 @@ def field_overlap(a: Field2D, b: Field2D) -> complex:
     return complex(np.vdot(a.samples, b.samples) * a.pitch ** 2)
 
 
-def _shifted_fft2(e: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(e)))
-
-
-def _shifted_ifft2(e: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(e)))
-
-
 def fourier_lens(e: Field2D, f: float) -> Field2D:
     """Ideal 2f relay: unitary scaled Fourier transform.
 
@@ -258,7 +248,8 @@ def fourier_lens(e: Field2D, f: float) -> Field2D:
         raise ValueError("focal length must be positive")
     out_pitch = e.wavelength * f / (e.n * e.pitch)
     scale = e.pitch ** 2 / (1j * e.wavelength * f)
-    return Field2D(samples=scale * _shifted_fft2(e.samples), pitch=out_pitch,
+    samples = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(e.samples)))
+    return Field2D(samples=scale * samples, pitch=out_pitch,
                    wavelength=e.wavelength, plane=e.plane + ">fourier")
 
 
@@ -268,7 +259,8 @@ def inverse_fourier_lens(e: Field2D, f: float) -> Field2D:
         raise ValueError("focal length must be positive")
     out_pitch = e.wavelength * f / (e.n * e.pitch)
     scale = 1j * e.wavelength * f / out_pitch ** 2
-    return Field2D(samples=scale * _shifted_ifft2(e.samples), pitch=out_pitch,
+    samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(e.samples)))
+    return Field2D(samples=scale * samples, pitch=out_pitch,
                    wavelength=e.wavelength, plane=e.plane + ">inv-fourier")
 
 
@@ -348,22 +340,16 @@ def sorter_phase2(u: np.ndarray, v: np.ndarray, cfg: SorterConfig) -> np.ndarray
             * np.exp(-u / cfg.a) * np.cos(v / cfg.a))
 
 
-def apply_sorter_mask1(e: Field2D, cfg: SorterConfig) -> Field2D:
-    return e.with_samples(e.samples * _phasor(sorter_phase1(*_xy(e), cfg)))
-
-
-def apply_sorter_mask2(e: Field2D, cfg: SorterConfig) -> Field2D:
-    return e.with_samples(e.samples * _phasor(sorter_phase2(*_xy(e), cfg)))
-
-
 def sorter_unwrap(e: Field2D, cfg: SorterConfig) -> Field2D:
     """Annulus -> strip: mask1, Fourier lens, mask2.
 
     A charge-l input exp(i l theta) at radius b becomes a horizontal strip
     around u = 0 whose phase ramps by 2 pi l across the v extent 2 pi a.
     """
-    out = apply_sorter_mask2(fourier_lens(apply_sorter_mask1(e, cfg), cfg.f), cfg)
-    return replace(out, plane="unwrapped")
+    lensed = fourier_lens(
+        e.with_samples(e.samples * _phasor(sorter_phase1(*_xy(e), cfg))), cfg.f)
+    return lensed.with_samples(
+        lensed.samples * _phasor(sorter_phase2(*_xy(lensed), cfg)), plane="unwrapped")
 
 
 def sorter_wrap(e: Field2D, cfg: SorterConfig) -> Field2D:
@@ -371,9 +357,8 @@ def sorter_wrap(e: Field2D, cfg: SorterConfig) -> Field2D:
     undo2 = e.with_samples(
         e.samples * _phasor(sorter_phase2(*_xy(e), cfg)).conj())
     back = inverse_fourier_lens(undo2, cfg.f)
-    out = back.with_samples(
-        back.samples * _phasor(sorter_phase1(*_xy(back), cfg)).conj())
-    return replace(out, plane="wrapped")
+    return back.with_samples(
+        back.samples * _phasor(sorter_phase1(*_xy(back), cfg)).conj(), plane="wrapped")
 
 
 def fanout_grating_phase(x: np.ndarray, cfg: FanoutConfig) -> np.ndarray:

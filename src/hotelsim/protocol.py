@@ -3,8 +3,8 @@
 Implements the six-step well protocol: instantaneous expansion, free
 evolution to the copy-producing fractional revival, barrier split at the
 wavefunction nodes, constant phase offsets, merge, and ideal adiabatic
-compression.  Closed-form shift/multiply oracles are provided for
-verification.
+compression.  The closed-form multiply oracle and its score are provided
+for verification.
 
 The p-fold fractional revival occurs at t = p*tau/2 in the width-p*L well
 (tau = 2*pi/omega0(L)); at that moment each sub-well carries one copy of
@@ -39,15 +39,12 @@ __all__ = [
     "ProtocolTrace",
     "NodeConditionError",
     "CopyFitError",
-    "hotel_shift",
     "hotel_multiply_oracle",
-    "hotel_multiply_adjoint",
-    "split_at_node",
+    "oracle_score",
     "split_at_nodes",
     "phase_offset",
     "merge_halves",
     "adiabatic_retag",
-    "run_ideal_protocol",
     "run_ideal_protocol_p",
 ]
 
@@ -99,9 +96,6 @@ class ProtocolTrace:
             label=label, norm_captured=_norm_sq(*states),
             elapsed_s=time.perf_counter() - t0, extra=extra))
 
-    def labels(self) -> list[str]:
-        return [s.label for s in self.steps]
-
     @property
     def copy_residuals(self) -> list[float]:
         for s in self.steps:
@@ -114,15 +108,6 @@ def _norm_sq(*states: SpectralState) -> float:
     return float(sum(np.sum(np.abs(s.amps) ** 2) for s in states))
 
 
-def hotel_shift(s: SpectralState, k: int) -> SpectralState:
-    """Isometry moving level n to level n + k; the vector grows by k."""
-    if k < 0:
-        raise ValueError(f"shift must be non-negative, got {k}")
-    amps = np.zeros(s.n_modes + k, dtype=complex)
-    amps[k:] = s.amps
-    return SpectralState(geometry=s.geometry, amps=amps, constants=s.constants)
-
-
 def hotel_multiply_oracle(s: SpectralState, p: int) -> SpectralState:
     """Isometry moving level n to level p*n, vacating all non-multiples."""
     if p < 1:
@@ -132,13 +117,20 @@ def hotel_multiply_oracle(s: SpectralState, p: int) -> SpectralState:
     return SpectralState(geometry=s.geometry, amps=amps, constants=s.constants)
 
 
-def hotel_multiply_adjoint(s: SpectralState, p: int) -> SpectralState:
-    """Adjoint of the multiply oracle: keeps levels p*n, drops the rest."""
-    if p < 1:
-        raise ValueError(f"multiplier must be >= 1, got {p}")
-    n_out = s.n_modes // p
-    return SpectralState(geometry=s.geometry, amps=s.amps[p - 1::p][:n_out],
-                         constants=s.constants)
+def oracle_score(out: SpectralState, s: SpectralState, p: int) -> tuple[float, float]:
+    """Score a protocol output out for input s against the multiply oracle.
+
+    Returns |<oracle|out>|^2 over the levels both hold, and the power out
+    leaves on levels that are not multiples of p.
+    """
+    oracle = hotel_multiply_oracle(s, p)
+    if out.geometry != oracle.geometry:
+        raise GeometryError(f"geometry mismatch: {out.geometry} vs {oracle.geometry}")
+    k = min(out.n_modes, oracle.n_modes)
+    fidelity = float(abs(np.vdot(oracle.amps[:k], out.amps[:k])) ** 2)
+    vacated = np.ones(out.n_modes, dtype=bool)
+    vacated[p - 1::p] = False
+    return fidelity, float(np.sum(np.abs(out.amps[vacated]) ** 2))
 
 
 def node_truncation_allowance(s: SpectralState, position: float) -> float:
@@ -170,44 +162,37 @@ def _node_peak(s: SpectralState) -> float:
     return float(np.sqrt(2.0 / s.geometry.width) * np.max(np.abs(band)) / 2.0)
 
 
-def _check_node(s: SpectralState, position: float, tol: float,
-                truncation_aware: bool = False):
+def _check_node(s: SpectralState, position: float):
+    """Require |psi| at position below NODE_TOL of the peak, or below ten
+    times the truncation allowance there when that is larger."""
     peak = _node_peak(s)
     val = abs(evaluate(s, np.array([position]))[0])
     rel = val / peak if peak > 0 else 0.0
-    eff_tol = tol
-    if truncation_aware and peak > 0:
-        eff_tol = max(tol, 10.0 * node_truncation_allowance(s, position) / peak)
-    if rel > eff_tol:
-        raise NodeConditionError(position, rel, eff_tol)
+    tol = NODE_TOL
+    if peak > 0:
+        tol = max(tol, 10.0 * node_truncation_allowance(s, position) / peak)
+    if rel > tol:
+        raise NodeConditionError(position, rel, tol)
 
 
-def split_at_nodes(s: SpectralState, parts: int, node_tol: float = NODE_TOL,
-                   n_modes: int | None = None,
-                   truncation_aware_nodes: bool = False) -> list[SpectralState]:
+def split_at_nodes(s: SpectralState, parts: int,
+                   n_modes: int | None = None) -> list[SpectralState]:
     """Insert barriers at the parts-1 interior nodes, yielding sub-well states.
 
     Each returned state is the projection of the wavefunction restricted
-    to one sub-well onto that sub-well's own eigenbasis.
+    to one sub-well onto that sub-well's own eigenbasis.  Raises
+    NodeConditionError when the wavefunction is not zero at a barrier.
     """
     g = s.geometry
     sub_width = g.width / parts
     n_sub = n_modes if n_modes is not None else max(1, s.n_modes // parts)
     for j in range(1, parts):
-        _check_node(s, g.origin + j * sub_width, node_tol,
-                    truncation_aware=truncation_aware_nodes)
+        _check_node(s, g.origin + j * sub_width)
     out = []
     for j in range(parts):
         sub = WellGeometry(width=sub_width, origin=g.origin + j * sub_width)
         out.append(project(s, sub, n_sub))
     return out
-
-
-def split_at_node(s: SpectralState, node_tol: float = NODE_TOL,
-                  n_modes: int | None = None) -> tuple[SpectralState, SpectralState]:
-    """Split a well in two at its centre; requires a node there."""
-    left, right = split_at_nodes(s, 2, node_tol=node_tol, n_modes=n_modes)
-    return left, right
 
 
 def phase_offset(s: SpectralState, V: float, t: float) -> SpectralState:
@@ -331,8 +316,7 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     trace.add("mirror-evolve", t0, evolved, time=p * tau / 2.0)
 
     t0 = time.perf_counter()
-    parts = split_at_nodes(evolved, p, n_modes=s.n_modes,
-                           truncation_aware_nodes=True)
+    parts = split_at_nodes(evolved, p, n_modes=s.n_modes)
     trace.add("split", t0, *parts, part_norms=[_norm_sq(q) for q in parts])
 
     # Constant phase per sub-well: rotate copy j onto (-1)^j / sqrt(p).
@@ -371,10 +355,3 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
               truncated_norm=float(np.sum(np.abs(retagged.amps[n_out:]) ** 2)))
     return out, trace
 
-
-def run_ideal_protocol(s: SpectralState, cfg: ProtocolConfig | None = None) -> tuple[SpectralState, ProtocolTrace]:
-    """Doubling pipeline (p = 2), the explicit six-step recipe."""
-    cfg = cfg or ProtocolConfig(p=2)
-    if cfg.p != 2:
-        raise ValueError("run_ideal_protocol is the p=2 pipeline; use run_ideal_protocol_p")
-    return run_ideal_protocol_p(s, cfg)

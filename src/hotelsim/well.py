@@ -25,7 +25,6 @@ __all__ = [
     "mode_overlap_matrix",
     "project",
     "rebase",
-    "overlap",
     "evaluate",
     "random_state",
 ]
@@ -241,19 +240,6 @@ def rebase(s: SpectralState, target: WellGeometry, n_modes: int) -> SpectralStat
             f"target well ({target.origin}, {target.end}) does not contain "
             f"source well ({s.geometry.origin}, {s.geometry.end})")
     return project(s, target, n_modes)
-
-
-def overlap(a: SpectralState, b: SpectralState) -> complex:
-    """<a|b> in a common eigenbasis; |overlap|^2 is the fidelity."""
-    if a.geometry != b.geometry:
-        raise GeometryError(f"geometry mismatch: {a.geometry} vs {b.geometry}")
-    # trailing amplitudes of the longer vector do not contribute
-    n = min(a.n_modes, b.n_modes)
-    return complex(np.vdot(a.amps[:n], b.amps[:n]))
-
-
-def fidelity(a: SpectralState, b: SpectralState) -> float:
-    return abs(overlap(a, b)) ** 2
 
 
 def evaluate(s: SpectralState, x) -> np.ndarray:

@@ -19,8 +19,7 @@ from hotelsim.multiplier import MultiplierPipelineConfig, crosstalk_matrix, \
 from hotelsim.optics import fanout_order_coefficients, FanoutConfig, \
     make_oam_mode, oam_spectrum
 from hotelsim.protocol import (ProtocolConfig, hotel_multiply_oracle,
-                               phase_offset, run_ideal_protocol,
-                               run_ideal_protocol_p)
+                               phase_offset, run_ideal_protocol_p)
 from hotelsim.well import (WellGeometry, free_evolve, mirror, random_state)
 
 G = WellGeometry(1.0)
@@ -39,7 +38,7 @@ def test_ac1_ideal_protocol_oracle_equivalence(capsys):
     worst_fid, worst_leak = 1.0, 0.0
     for _ in range(100):
         s = random_state(G, 128, rng, n_support=32)
-        out, _ = run_ideal_protocol(s, ProtocolConfig(p=2, working_modes=8192))
+        out, _ = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=8192))
         oracle = hotel_multiply_oracle(s, 2)
         k = min(out.n_modes, oracle.n_modes)
         fid = abs(np.vdot(oracle.amps[:k], out.amps[:k])) ** 2
@@ -74,7 +73,7 @@ def test_ac3_phase_matching_step(capsys):
     phase_err = float(np.max(np.abs(shifted.amps - (-1j) * s.amps)))
     assert phase_err == 0.0 or phase_err < 1e-15
 
-    out, _ = run_ideal_protocol(s, ProtocolConfig(p=2, working_modes=8192))
+    out, _ = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=8192))
     odd_power = float(np.sum(np.abs(out.amps[0::2]) ** 2))
     assert odd_power <= 1e-10
     report(capsys, f"[AC3] PASS offset V=omega0/4 over one period gives -i "

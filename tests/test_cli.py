@@ -4,8 +4,12 @@ determinism, and manifest replay."""
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,26 @@ class TestCommands:
         assert any(report in v for v in violations)
         assert run_cli("run", experiment, "--out", str(tmp_path / "r"),
                        "--set", bad) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("bad", [["knobs=3"], ["width={a: 1}"],
+                                     ["knobs=3", "knobs.m=5"]])
+    def test_value_and_section_do_not_swap(self, tmp_path, capsys, command,
+                                           bad):
+        out = ["--out", str(tmp_path / "r")] if command == "run" else []
+        sets = [arg for item in bad for arg in ("--set", item)]
+        assert run_cli(command, "well-dynamic", *sets, *out) == 2
+        assert "mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ell", [0, -2])
+    def test_petals_need_a_positive_charge(self, tmp_path, capsys, ell):
+        assert run_cli("validate", "oam-petals", "--set", f"ell={ell}") == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert violations == [f"ell must be positive for the petal test, got {ell}"]
+        out = tmp_path / "r"
+        assert run_cli("run", "oam-petals", "--out", str(out),
+                       "--set", f"ell={ell}") == 2
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "well-ideal",
@@ -338,6 +362,39 @@ class TestParallelAndEnv:
             {"experiment": "carpet", "seed": 5}, FAST_CARPET[1::2]))
         assert replay == direct
         assert replay[1]["m"] == 127
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and two allowed CPUs")
+def test_output_does_not_depend_on_cpu_affinity(tmp_path):
+    """The two-thread kernels and multi-worker FFTs give the same bytes
+    on one CPU as on every allowed CPU.  Only the child is pinned."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import os, sys; "
+            "os.sched_setaffinity(0, {int(c) for c in sys.argv[2].split(',')}); "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from hotelsim.cli import main; sys.exit(main(sys.argv[3:]))")
+    runs = {
+        "well-ideal": (["--seed", "7", "--set", "input=random"],
+                       ["metrics.json"]),
+        "oam-multiply": (["--set", "ell=1", "--set", "grid_n=512",
+                          "--set", "pitch=40e-6"],
+                         ["metrics.json", "rasters/output_field.bin"]),
+    }
+    cpus = sorted(os.sched_getaffinity(0))
+    for experiment, (args, files) in runs.items():
+        written = []
+        for pinned in (cpus[:1], cpus):
+            out = tmp_path / f"{experiment}-{len(pinned)}"
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(src),
+                 ",".join(map(str, pinned)), "run", experiment,
+                 "--out", str(out), *args],
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            written.append([(out / name).read_bytes() for name in files])
+        assert written[0] == written[1], experiment
 
 
 class TestRasterContainer:

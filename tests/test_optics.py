@@ -1,6 +1,7 @@
 """Paraxial toolbox: ring modes, unitary lenses, log-polar sorter masks,
 fan-out grating analysis, and azimuthal spectra."""
 
+import os
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ from hotelsim.optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                              fanout_grating_phase, fanout_order_coefficients,
                              fourier_lens, inverse_fourier_lens,
                              make_oam_mode, oam_spectrum, sorter_phase1,
-                             sorter_unwrap, sorter_wrap)
+                             sorter_phase2, sorter_unwrap, sorter_wrap)
 
 GRID = GridSpec(n=1024, pitch=10e-6)
 RING = RingSpec(radius=1.2e-3, width=0.2e-3)
@@ -121,12 +122,9 @@ class TestFourierLens:
 
 class TestSorter:
     def test_masks_are_phase_only(self):
-        e = ring_mode(2)
-        from hotelsim.optics import apply_sorter_mask1, apply_sorter_mask2
-        m1 = apply_sorter_mask1(e, SORTER)
-        assert np.allclose(np.abs(m1.samples), np.abs(e.samples))
-        m2 = apply_sorter_mask2(e, SORTER)
-        assert np.allclose(np.abs(m2.samples), np.abs(e.samples))
+        x, y = optics._xy(ring_mode(2))
+        for phase in (sorter_phase1(x, y, SORTER), sorter_phase2(x, y, SORTER)):
+            assert np.allclose(np.abs(optics._phasor(phase)), 1.0)
 
     def test_unwrapper_phase_at_reference_radius(self):
         # on the positive x axis at r = b the profile reduces to a * k/f * b
@@ -436,13 +434,23 @@ class TestThreadLifecycle:
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):
+        # and loads no tier: each is imported as hotelsim.<tier>
         src = Path(hotelsim.__file__).resolve().parents[1]
         code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); "
-                "import hotelsim; print(threading.active_count())")
+                "import hotelsim; print(threading.active_count()); "
+                "print(sorted(m for m in sys.modules if m.startswith('hotelsim.')))")
         done = subprocess.run([sys.executable, "-c", code, str(src)],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "1"
+        assert done.stdout.split() == ["1", "[]"]
+
+    def test_output_without_sched_getaffinity(self, monkeypatch):
+        # platforms without os.sched_getaffinity count CPUs with os.cpu_count
+        e = make_oam_mode(1, SMALL_BENCH.ring, SMALL_BENCH.grid,
+                          SMALL_BENCH.sorter.wavelength)
+        want = multiply_oam(e, SMALL_BENCH).samples.tobytes()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert multiply_oam(e, SMALL_BENCH).samples.tobytes() == want
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_reaches_the_caller(self, monkeypatch, failing):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hotelsim.well import (DomainError, GeometryError, NATURAL,
                            PhysicalConstants, SpectralState, WellGeometry,
-                           basis_state, eigenfunction, evaluate,
-                           fidelity, free_evolve, mirror, mode_overlap_matrix,
-                           overlap, project, random_state, rebase)
+                           basis_state, eigenfunction, evaluate, free_evolve,
+                           mirror, mode_overlap_matrix, project, random_state,
+                           rebase)
+from hotelsim.protocol import oracle_score
 
 G = WellGeometry(1.0)
 TAU = 2.0 * np.pi / G.omega0()
@@ -233,12 +234,14 @@ class TestProjection:
 
     def test_overlap_geometry_guard(self):
         with pytest.raises(GeometryError):
-            overlap(basis_state(1, G, 2), basis_state(1, WellGeometry(2.0), 2))
+            oracle_score(basis_state(1, G, 2),
+                         basis_state(1, WellGeometry(2.0), 2), 1)
 
     def test_fidelity_of_identical_states(self):
+        # the p = 1 oracle is the identity
         rng = np.random.default_rng(12)
         s = random_state(G, 8, rng)
-        assert abs(fidelity(s, s) - 1.0) < 1e-12
+        assert abs(oracle_score(s, s, 1)[0] - 1.0) < 1e-12
 
     def test_project_matches_complex_product_and_keeps_cache_real(self):
         big = WellGeometry(2.0, origin=-0.5)
