@@ -137,8 +137,17 @@ def resolve_config(raw: dict) -> tuple[str, dict]:
             f"unknown experiment {experiment!r}; "
             f"choose from {sorted(_EXPERIMENTS)}")
     merged = _merge(_EXPERIMENTS[experiment].defaults, raw)
-    merged["seed"] = int(seed)
+    merged["seed"] = _seed(seed)
     return experiment, merged
+
+
+def _seed(value) -> int:
+    """The seed as an int: a non-negative integer, or a float equal to one."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
+    return value
 
 
 # --- validation ------------------------------------------------------------

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.fft import dst
-from scipy.linalg import get_lapack_funcs
 
 from .well import PhysicalConstants, NATURAL, SpectralState, WellGeometry
-from .protocol import fix_global_phase, oracle_score
+from .protocol import fix_global_phase, oracle_score, require_normalizable
 
 __all__ = [
     "GridState",
@@ -53,6 +51,13 @@ SCHEMES = ("strang-split-sine", "crank-nicolson")
 
 class PropagationError(RuntimeError):
     """Numerical instability detected during time stepping."""
+
+
+def dst(x, **kwargs):
+    """scipy.fft.dst, imported at the first transform so that importing
+    this module (and the ideal tier it imports) loads no SciPy."""
+    from scipy.fft import dst as scipy_dst
+    return scipy_dst(x, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -385,15 +390,12 @@ def propagate(g: GridState, timeline: PotentialTimeline,
     return g.with_samples(psi)
 
 
-_gtsv, _gttrf, _gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"),
-                                         dtype=complex)
-
-
 def _crank_nicolson_segment(psi, g: GridState, potential, v, dt: float,
                             nsteps: int, marks, observe):
     """(1 + aH) psi_next = (1 - aH) psi with a = i dt / (2 hbar), taken as
     psi_next = 2 (1 + aH)^-1 psi - psi: one tridiagonal solve per step.
     A constant segment (its potential v given) factors 1 + aH once."""
+    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
     const = g.constants
     kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
     a = 0.5j * dt / const.hbar
@@ -403,13 +405,13 @@ def _crank_nicolson_segment(psi, g: GridState, potential, v, dt: float,
         return 1.0 + a * (2.0 * kin + pot)
 
     if v is not None:
-        lu = _gttrf(off, diag(v), off)[:5]
+        lu = zgttrf(off, diag(v), off)[:5]
 
         def solve(u, b):
-            return _gttrs(*lu, b)[0]
+            return zgttrs(*lu, b)[0]
     else:
         def solve(u, b):
-            return _gtsv(off, diag(potential(u)), off, b, overwrite_d=1)[3]
+            return zgtsv(off, diag(potential(u)), off, b, overwrite_d=1)[3]
 
     for k in range(nsteps):
         y = solve((k + 0.5) / nsteps, psi)
@@ -430,10 +432,13 @@ def carpet(g: GridState, timeline: PotentialTimeline,
     (time_samples, space_samples); the first row is the initial state.
     The run shortens dt to the largest step that divides the sample
     spacing, so each row is the state at its labelled time.  Raises
-    ValueError when a segment boundary falls between sample times.
+    ValueError when a segment boundary falls between sample times, or
+    for fewer than 2 time samples or 1 space sample.
     """
     if time_samples < 2:
         raise ValueError("need at least 2 time samples")
+    if space_samples is not None and space_samples < 1:
+        raise ValueError(f"need at least 1 space sample, got {space_samples}")
     nx = space_samples if space_samples is not None else g.m
     xi = np.linspace(0, g.m - 1, nx).round().astype(int)
     total = timeline.duration
@@ -496,13 +501,15 @@ def run_dynamic_protocol(s: SpectralState, knobs: DynamicKnobs,
 
     The grid spans (0, 2L) throughout; step vi is a high potential wall
     sweeping from 2L to L.  The result is projected on the width-L
-    eigenbasis and compared against the doubling oracle.
+    eigenbasis and compared against the doubling oracle.  Raises
+    ValueError for an input with non-finite amplitudes or zero norm.
 
     Crank-Nicolson is the default here (not the faster split-step) because
     the barrier and wall heights dwarf 1/dt: the splitting's potential
     phase V*dt then wraps past pi and a steep wall turns spuriously
     transparent, while the implicit scheme stays reflective at any height.
     """
+    require_normalizable(s)
     if s.geometry.origin != 0.0:
         raise ValueError("dynamic protocol assumes the well starts at x=0")
     L = s.geometry.width

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
 
 from .well import (
     GeometryError,
@@ -108,6 +107,14 @@ def _norm_sq(*states: SpectralState) -> float:
     return float(sum(np.sum(np.abs(s.amps) ** 2) for s in states))
 
 
+def require_normalizable(s: SpectralState) -> None:
+    """Raise ValueError unless s has finite amplitudes and a non-zero norm."""
+    norm = s.norm()
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"input state needs finite amplitudes and a non-zero "
+                         f"norm, got norm {norm}")
+
+
 def hotel_multiply_oracle(s: SpectralState, p: int) -> SpectralState:
     """Isometry moving level n to level p*n, vacating all non-multiples."""
     if p < 1:
@@ -154,12 +161,18 @@ def _node_peak(s: SpectralState) -> float:
 
     Uses the low band (n <= 1024) only; high modes add little amplitude.
     On that grid, x_k = origin + W k / 1025 for k = 1..1024, and the band
-    sum is exactly a type-I DST:
-    psi(x_k) = sqrt(2/W) * dst(a, type=1, n=1024)[k-1] / 2,
-    where n=1024 zero-pads or truncates the amplitudes a to the band.
+    sum is a type-I DST, taken as the FFT of the odd extension
+    z = (0, a_1..a_b, 0.., -a_b..-a_1) of length 2050, b = min(N, 1024):
+    FFT(z)[k] = -2i sum_n a_n sin(pi n k / 1025), so
+    |psi(x_k)| = sqrt(2/W) |FFT(z)[k]| / 2.  Amplitudes above the band
+    are dropped; a shorter state is zero-padded.
     """
-    band = dst(s.amps, type=1, n=1024)
-    return float(np.sqrt(2.0 / s.geometry.width) * np.max(np.abs(band)) / 2.0)
+    band = s.amps[:1024]
+    odd = np.zeros(2050, dtype=complex)
+    odd[1:band.size + 1] = band
+    odd[2050 - band.size:] = -band[::-1]
+    peak = np.max(np.abs(np.fft.fft(odd)[1:1025]))
+    return float(np.sqrt(2.0 / s.geometry.width) * peak / 2.0)
 
 
 def _check_node(s: SpectralState, position: float):
@@ -292,7 +305,9 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     t = p*tau/2; split at the p-1 nodes; apply fitted constant phase
     offsets per sub-well; merge; (odd p) half-revival parity fix; ideal
     adiabatic compression back to width L with levels retagged p*n -> p*n.
+    Raises ValueError for an input with non-finite amplitudes or zero norm.
     """
+    require_normalizable(s)
     p = cfg.p
     trace = ProtocolTrace()
     if p == 1:

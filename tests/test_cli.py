@@ -151,6 +151,28 @@ class TestCommands:
         assert run_cli("run", "carpet", "--out", str(tmp_path / "r"),
                        "--set", bad) == 2
 
+    @pytest.mark.parametrize("seed", ["abc", "-1", "2.7", "true", "[3]"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
+        assert run_cli("validate", "well-ideal", "--set", f"seed={seed}") == 2
+        assert run_cli("run", "well-ideal", "--out", str(tmp_path / "r"),
+                       "--set", "input=random", "--set", f"seed={seed}") == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path):
+        assert run_cli("run", "well-ideal", "--out", str(tmp_path / "r"),
+                       "--set", "input=random", "--seed", "-1") == 2
+
+    @pytest.mark.parametrize("seed", ["abc", -1, 2.7, False])
+    def test_bad_seed_in_config_file_exits_2(self, tmp_path, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "well-ideal", "seed": seed}))
+        assert run_cli("validate", "--config", str(path)) == 2
+
+    def test_whole_float_seed_is_an_int(self):
+        _, cfg = resolve_config({"experiment": "well-ideal", "seed": 4.0})
+        assert cfg["seed"] == 4 and isinstance(cfg["seed"], int)
+
     @pytest.mark.parametrize("experiment, bad, report", [
         ("well-dynamic", "input_level=x", "input_level must be an integer"),
         ("well-sweep", "input_level=1.5", "input_level must be an integer"),

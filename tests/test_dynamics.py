@@ -512,6 +512,14 @@ class TestCarpet:
                             time_samples=4)
         assert rows.shape[0] == t.size == 4
 
+    @pytest.mark.parametrize("space_samples", [0, -2])
+    def test_space_samples_must_be_positive(self, space_samples):
+        grid = to_grid(basis_state(1, G, 4), 63)
+        tl = PotentialTimeline([Segment(TAU / 4.0, FreeFlight())])
+        with pytest.raises(ValueError, match="space sample"):
+            carpet(grid, tl, PropagatorSettings(dt=TAU / 512.0),
+                   time_samples=3, space_samples=space_samples)
+
 
 class TestDynamicProtocol:
     def test_reference_run_doubles_ground_state(self):
@@ -530,6 +538,12 @@ class TestDynamicProtocol:
                       "compress", "project"):
             assert label in report.step_norms
         assert report.step_norms["compress"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_unnormalizable_input_rejected(self, bad):
+        s = basis_state(1, G, 4).with_amps([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-zero norm"):
+            run_dynamic_protocol(s, DynamicKnobs(m=63))
 
     def test_even_grid_size_rejected(self):
         with pytest.raises(ValueError, match="odd"):

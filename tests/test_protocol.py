@@ -1,9 +1,15 @@
 """Ideal level-multiplication pipeline against the interleaving oracle."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hotelsim
 from hotelsim.well import (WellGeometry, basis_state, evaluate, free_evolve,
                            mirror, random_state, rebase)
 from hotelsim.protocol import (CopyFitError, NodeConditionError,
@@ -74,6 +80,16 @@ class TestSplitMerge:
         low = s.with_amps(s.amps[:1024])
         dense = np.max(np.abs(evaluate(low, xs)))
         assert abs(_node_peak(s) - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("n_modes", [8, 1024, 8192])
+    def test_node_peak_matches_scipy_dst(self, n_modes):
+        # zero-padded, exact and truncated band against scipy's DST-I
+        from scipy.fft import dst
+        g = WellGeometry(1.7, origin=-0.3)
+        s = random_state(g, n_modes, np.random.default_rng(n_modes + 1))
+        band = dst(s.amps, type=1, n=1024)
+        want = np.sqrt(2.0 / g.width) * np.max(np.abs(band)) / 2.0
+        assert abs(_node_peak(s) - want) <= 1e-13 * want
 
     def test_merge_requires_adjacent_equal_wells(self):
         left = basis_state(1, WellGeometry(1.0), 4)
@@ -155,6 +171,43 @@ class TestGeneralP:
         bad = random_state(G, 8, rng)
         with pytest.raises(CopyFitError):
             _fit_copy_phases([good, bad], ref.amps, _copy_pattern(2), 1e-8)
+
+
+class TestInputGuard:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_unnormalizable_input_rejected(self, p, bad):
+        s = basis_state(1, G, 4).with_amps([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-zero norm"):
+            run_ideal_protocol_p(s, ProtocolConfig(p=p, working_modes=512))
+
+
+def test_ideal_tier_loads_no_scipy():
+    # the ideal tier runs on numpy alone; the grid tier loads scipy.fft
+    # at its first transform
+    src = Path(hotelsim.__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import sys, threading
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from hotelsim import dynamics, protocol, well
+        rng = np.random.default_rng(1)
+        g = well.WellGeometry(1.0)
+        for p, n in ((2, 8), (3, 4)):
+            s = well.random_state(g, n, rng)
+            cfg = protocol.ProtocolConfig(p=p, working_modes=1024 * p)
+            out, _ = protocol.run_ideal_protocol_p(s, cfg)
+            assert protocol.oracle_score(out, s, p)[0] > 1.0 - 1e-6
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        print(threading.active_count())
+        dynamics.to_grid(s, 63)
+        print("scipy.fft" in sys.modules)
+        """)
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "1", "True"]
 
 
 class TestGlobalPhase:
