@@ -167,8 +167,8 @@ def _not_positive(cfg: dict, *keys: str) -> list:
 
 
 def _check_well_ideal(cfg: dict) -> list:
-    v = _not_positive(cfg, "width", "p", "n_support")
-    if cfg["n_modes"] is not None and cfg["p"] * cfg["n_support"] > cfg["n_modes"]:
+    v = _not_positive(cfg, "width", "p", "n_support", "n_modes", "working_modes")
+    if not v and cfg["n_modes"] is not None and cfg["p"] * cfg["n_support"] > cfg["n_modes"]:
         v.append(
             f"capacity: p*n_support = {cfg['p'] * cfg['n_support']} exceeds "
             f"n_modes = {cfg['n_modes']}")
@@ -239,6 +239,10 @@ def _check_carpet(cfg: dict) -> list:
     elif isinstance(m, int) and max(levels) > m:
         v.append(f"max(levels) = {max(levels)} exceeds m = {m}: a grid of m "
                  "points holds levels 1..m only")
+    space = cfg["space_samples"]
+    if isinstance(space, int) and isinstance(m, int) and space > m:
+        v.append(f"space_samples = {space} exceeds m = {m}: a grid of m "
+                 "points has m distinct positions")
     samples = cfg["time_samples"]
     if not (isinstance(samples, int) and samples >= 2):
         v.append(f"time_samples must be an integer >= 2, got {samples!r}")

@@ -432,13 +432,15 @@ def carpet(g: GridState, timeline: PotentialTimeline,
     (time_samples, space_samples); the first row is the initial state.
     The run shortens dt to the largest step that divides the sample
     spacing, so each row is the state at its labelled time.  Raises
-    ValueError when a segment boundary falls between sample times, or
-    for fewer than 2 time samples or 1 space sample.
+    ValueError when a segment boundary falls between sample times, for
+    fewer than 2 time samples, or for space samples outside 1..m (more
+    would repeat grid points).
     """
     if time_samples < 2:
         raise ValueError("need at least 2 time samples")
-    if space_samples is not None and space_samples < 1:
-        raise ValueError(f"need at least 1 space sample, got {space_samples}")
+    if space_samples is not None and not 1 <= space_samples <= g.m:
+        raise ValueError(f"need 1..{g.m} space samples on a grid of {g.m} "
+                         f"points, got {space_samples}")
     nx = space_samples if space_samples is not None else g.m
     xi = np.linspace(0, g.m - 1, nx).round().astype(int)
     total = timeline.duration

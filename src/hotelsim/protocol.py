@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .well import (
     GeometryError,
     SpectralState,
     WellGeometry,
-    evaluate,
     free_evolve,
     project,
     rebase,
@@ -75,6 +75,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"multiplier p must be >= 1, got {self.p}")
+        for name in ("n_modes", "working_modes"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -140,20 +144,14 @@ def oracle_score(out: SpectralState, s: SpectralState, p: int) -> tuple[float, f
     return fidelity, float(np.sum(np.abs(out.amps[vacated]) ** 2))
 
 
-def node_truncation_allowance(s: SpectralState, position: float) -> float:
-    """Bound on the node amplitude attributable to basis truncation alone.
-
-    A band-limited representation of a wavefunction whose derivative is
-    discontinuous at the node converges pointwise only like 1/N there; the
-    top half of the stored spectrum gives the scale of that remainder.
-    States genuinely band-limited below N/2 get an allowance of zero.
-    """
-    half = s.n_modes // 2
-    n = s.quantum_numbers[half:]
-    g = s.geometry
-    vals = np.sqrt(2.0 / g.width) * np.abs(
-        np.sin(np.pi * n * (position - g.origin) / g.width))
-    return float(np.sum(np.abs(s.amps[half:]) * vals))
+@lru_cache(maxsize=32)
+def _node_row(g: WellGeometry, n_modes: int, position: float) -> np.ndarray:
+    """Every mode of g at position, sqrt(2/W) sin(pi n (x - origin) / W)
+    for n = 1..n_modes; read-only."""
+    n = np.arange(1, n_modes + 1)
+    row = np.sqrt(2.0 / g.width) * np.sin(np.pi * n * (position - g.origin) / g.width)
+    row.setflags(write=False)
+    return row
 
 
 def _node_peak(s: SpectralState) -> float:
@@ -177,13 +175,25 @@ def _node_peak(s: SpectralState) -> float:
 
 def _check_node(s: SpectralState, position: float):
     """Require |psi| at position below NODE_TOL of the peak, or below ten
-    times the truncation allowance there when that is larger."""
+    times the truncation allowance there when that is larger.
+
+    The allowance bounds the node amplitude due to basis truncation alone.
+    A band-limited representation of a wavefunction whose derivative is
+    discontinuous at the node converges pointwise only like 1/N there; the
+    top half of the stored spectrum gives the scale of that remainder.
+    States genuinely band-limited below N/2 get an allowance of zero.  The
+    node value and the allowance share one cached row of mode values.
+    """
+    row = _node_row(s.geometry, s.n_modes, position)
+    a = s.amps
     peak = _node_peak(s)
-    val = abs(evaluate(s, np.array([position]))[0])
+    val = abs(complex(a.real @ row, a.imag @ row))
     rel = val / peak if peak > 0 else 0.0
     tol = NODE_TOL
     if peak > 0:
-        tol = max(tol, 10.0 * node_truncation_allowance(s, position) / peak)
+        half = s.n_modes // 2
+        allowance = float(np.abs(a[half:]) @ np.abs(row[half:]))
+        tol = max(tol, 10.0 * allowance / peak)
     if rel > tol:
         raise NodeConditionError(position, rel, tol)
 
@@ -354,9 +364,12 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     trace.add("phase", t0, *phased, copy_coefficients=list(coeffs),
               copy_residuals=list(residuals), potential_offsets=offsets,
               pattern=pattern)
+    phased_norm = trace.steps[-1].norm_captured
 
+    # The merge lands in the output basis: compression keeps levels 1..n_out
+    # only, and the odd-p parity fix is diagonal, so it commutes with that cut.
     t0 = time.perf_counter()
-    merged = merge_halves(*phased, n_modes=n_work)
+    merged = merge_halves(*phased, n_modes=n_out)
     if p % 2 == 1:
         # mirrored-first copy pattern: half a revival of the expanded well
         # applies the parity operator and restores the direct ordering
@@ -364,9 +377,8 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     trace.add("merge", t0, merged)
 
     t0 = time.perf_counter()
-    retagged = adiabatic_retag(merged, g)
-    out = retagged.with_amps(retagged.amps[:n_out])
-    trace.add("compress", t0, out,
-              truncated_norm=float(np.sum(np.abs(retagged.amps[n_out:]) ** 2)))
+    out = adiabatic_retag(merged, g)
+    # the norm the output does not hold: lost by the merge's truncation
+    trace.add("compress", t0, out, truncated_norm=phased_norm - _norm_sq(out))
     return out, trace
 

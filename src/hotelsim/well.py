@@ -135,13 +135,25 @@ def free_evolve(s: SpectralState, t: float) -> SpectralState:
 
     The phase is reduced modulo 2*pi before exponentiation so that revival
     times (omega0 * t a rational multiple of 2*pi) stay exact to machine
-    precision even for large n.
+    precision even for large n.  The phase vector depends only on omega0 t
+    and the mode count; it is cached (32 entries, read-only), and
+    `cache_info` counts its builds.
     """
-    n = s.quantum_numbers
     # cycles per mode: omega0 t n^2 / (2 pi)
     f = s.geometry.omega0(s.constants) * t / (2.0 * np.pi)
-    frac = np.mod(f * n.astype(float) ** 2, 1.0)
-    return s.with_amps(s.amps * np.exp(-2j * np.pi * frac))
+    return s.with_amps(s.amps * _evolution_phases(f, s.n_modes))
+
+
+@lru_cache(maxsize=32)
+def _evolution_phases(cycles: float, n_modes: int) -> np.ndarray:
+    """exp(-2 pi i frac(cycles n^2)) for n = 1..n_modes; read-only."""
+    n = np.arange(1, n_modes + 1)
+    phases = np.exp(-2j * np.pi * np.mod(cycles * n.astype(float) ** 2, 1.0))
+    phases.setflags(write=False)
+    return phases
+
+
+free_evolve.cache_info = _evolution_phases.cache_info
 
 
 def mirror(s: SpectralState) -> SpectralState:

@@ -142,6 +142,14 @@ class TestCommands:
         assert any("scheme" in v for v in violations)
         assert any("time_samples" in v for v in violations)
 
+    def test_carpet_space_samples_beyond_m_reported(self, tmp_path, capsys):
+        args = ["carpet", "--set", "m=127", "--set", "space_samples=500"]
+        assert run_cli("validate", *args) == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert violations == ["space_samples = 500 exceeds m = 127: a grid of "
+                              "m points has m distinct positions"]
+        assert run_cli("run", *args, "--out", str(tmp_path / "r")) == 2
+
     @pytest.mark.parametrize("bad", ["scheme=bogus", "time_samples=1",
                                      "m=0", "space_samples=-4",
                                      "dt_steps_per_tau=0", "levels=[600]",
@@ -186,6 +194,9 @@ class TestCommands:
         ("oam-petals", "mu=x", "mu must be positive"),
         ("oam-multiply", "ell_window=x", "ell_window must be a non-negative"),
         ("oam-crosstalk", "ell_out_max=-1", "ell_out_max must be a non-negative"),
+        ("well-ideal", "working_modes=0", "working_modes must be positive"),
+        ("well-ideal", "n_modes=-3", "n_modes must be positive"),
+        ("well-ideal", "n_modes=x", "n_modes must be positive"),
     ])
     def test_mistyped_value_is_a_violation(self, tmp_path, capsys, experiment,
                                            bad, report):

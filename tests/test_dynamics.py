@@ -521,6 +521,18 @@ class TestCarpet:
                    time_samples=3, space_samples=space_samples)
 
 
+    def test_space_samples_beyond_the_grid_rejected(self):
+        # more columns than grid points would repeat positions
+        grid = to_grid(basis_state(1, G, 4), 63)
+        tl = PotentialTimeline([Segment(TAU / 4.0, FreeFlight())])
+        settings = PropagatorSettings(dt=TAU / 512.0)
+        with pytest.raises(ValueError, match="space samples"):
+            carpet(grid, tl, settings, time_samples=3, space_samples=64)
+        _, x, rows = carpet(grid, tl, settings, time_samples=3, space_samples=63)
+        assert rows.shape == (3, 63)
+        assert np.unique(x).size == 63
+
+
 class TestDynamicProtocol:
     def test_reference_run_doubles_ground_state(self):
         s = basis_state(1, G, 8)

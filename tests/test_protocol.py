@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hotelsim
-from hotelsim.well import (WellGeometry, basis_state, evaluate, free_evolve,
-                           mirror, random_state, rebase)
+from hotelsim import protocol, well
+from hotelsim.well import (SpectralState, WellGeometry, basis_state, evaluate,
+                           free_evolve, mirror, mode_overlap_matrix,
+                           random_state, rebase)
 from hotelsim.protocol import (CopyFitError, NodeConditionError,
-                               ProtocolConfig, fix_global_phase,
-                               hotel_multiply_oracle, merge_halves,
-                               oracle_score, phase_offset,
+                               ProtocolConfig, adiabatic_retag,
+                               fix_global_phase, hotel_multiply_oracle,
+                               merge_halves, oracle_score, phase_offset,
                                run_ideal_protocol_p, split_at_nodes,
                                _node_peak)
 
@@ -90,6 +92,15 @@ class TestSplitMerge:
         band = dst(s.amps, type=1, n=1024)
         want = np.sqrt(2.0 / g.width) * np.max(np.abs(band)) / 2.0
         assert abs(_node_peak(s) - want) <= 1e-13 * want
+
+    def test_node_row_matches_evaluate(self):
+        # the node check's cached row gives evaluate's value at the node
+        g = WellGeometry(1.7, origin=-0.3)
+        s = random_state(g, 300, np.random.default_rng(6))
+        row = protocol._node_row(g, 300, 0.4)
+        a = s.amps
+        want = evaluate(s, np.array([0.4]))[0]
+        assert abs((a.real @ row + 1j * (a.imag @ row)) - want) <= 1e-13
 
     def test_merge_requires_adjacent_equal_wells(self):
         left = basis_state(1, WellGeometry(1.0), 4)
@@ -173,6 +184,62 @@ class TestGeneralP:
             _fit_copy_phases([good, bad], ref.amps, _copy_pattern(2), 1e-8)
 
 
+class TestOutputBasisMerge:
+    @pytest.mark.parametrize("n", [8, 7])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_matches_the_full_basis_merge(self, p, n):
+        # The pipeline merges straight onto the n_out = p n output levels.
+        # The reference merges onto all n_work levels, applies the odd-p
+        # parity fix there, and truncates after compression.  With numpy's
+        # bundled OpenBLAS on x86-64 the two are bit-equal at n = 8; at
+        # n = 7 (n_out odd for odd p) the GEMV rounds its last rows
+        # differently, by up to 3e-17.  So only the 1e-15 bound is asserted.
+        s = random_state(G, n, np.random.default_rng(40 + p))
+        n_work = 1024 * p
+        out, trace = run_ideal_protocol_p(
+            s, ProtocolConfig(p=p, working_modes=n_work))
+        steps = {t.label: t for t in trace.steps}
+        big = WellGeometry(p * G.width)
+        parts = split_at_nodes(free_evolve(rebase(s, big, n_work), p * TAU / 2.0),
+                               p, n_modes=s.n_modes)
+        coeffs = steps["phase"].extra["copy_coefficients"]
+        phased = [part.with_amps(part.amps * ((-1.0) ** j * np.conj(c) / abs(c)))
+                  for j, (part, c) in enumerate(zip(parts, coeffs))]
+        merged = merge_halves(*phased, n_modes=n_work)
+        if p % 2 == 1:
+            merged = free_evolve(merged, np.pi / big.omega0())
+        reference = adiabatic_retag(merged, G).amps[:out.n_modes]
+        assert out.n_modes == n * p
+        assert np.max(np.abs(out.amps - reference)) <= 1e-15
+        # the compress step's truncated norm is what the output does not hold
+        compress = steps["compress"]
+        assert abs(compress.extra["truncated_norm"] + compress.norm_captured
+                   - steps["phase"].norm_captured) <= 1e-15
+
+    def test_second_state_builds_nothing(self):
+        # per-geometry work (overlaps, evolution phases, node rows) is done
+        # by the first state of a shape; a second state only reads caches
+        rng = np.random.default_rng(50)
+        caches = (mode_overlap_matrix.cache_info, free_evolve.cache_info,
+                  protocol._node_row.cache_info)
+        for p, n in ((2, 16), (3, 8)):
+            cfg = ProtocolConfig(p=p, working_modes=1024 * p)
+            run_ideal_protocol_p(random_state(G, n, rng), cfg)
+            misses = [info().misses for info in caches]
+            amps = random_state(G, n, rng).amps.copy()
+            out, _ = run_ideal_protocol_p(SpectralState(G, amps), cfg)
+            assert [info().misses for info in caches] == misses
+            assert amps.flags.writeable
+            assert oracle_score(out, SpectralState(G, amps), p)[0] > 1.0 - 1e-6
+            big = WellGeometry(p * G.width)
+            cycles = big.omega0() * (p * TAU / 2.0) / (2.0 * np.pi)
+            cached = [mode_overlap_matrix(G, n, big, 1024 * p),
+                      well._evolution_phases(cycles, 1024 * p),
+                      protocol._node_row(big, 1024 * p, G.width)]
+            assert [info().misses for info in caches] == misses
+            assert not any(a.flags.writeable for a in cached)
+
+
 class TestInputGuard:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
@@ -180,6 +247,12 @@ class TestInputGuard:
         s = basis_state(1, G, 4).with_amps([bad, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="non-zero norm"):
             run_ideal_protocol_p(s, ProtocolConfig(p=p, working_modes=512))
+
+    @pytest.mark.parametrize("field", ["n_modes", "working_modes"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_mode_counts_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ProtocolConfig(p=2, **{field: value})
 
 
 def test_ideal_tier_loads_no_scipy():
