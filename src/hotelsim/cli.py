@@ -210,13 +210,24 @@ def _check_oam(cfg: dict) -> list:
     if not isinstance(ell, int):
         v.append(f"{key} must be an integer, got {ell!r}")
     p_ok = isinstance(p, int) and p >= 1 and p % 2 == 1
+    if sizes_ok and isinstance(grid_n, int):
+        radius, width = _ring_size(cfg)
+        edge, half = radius + 3.0 * width, grid_n * cfg["pitch"] / 2.0
+        if edge > half:
+            v.append(f"ring does not fit: ring_radius + 3 ring_width = "
+                     f"{edge:g} exceeds grid_n * pitch / 2 = {half:g}")
     if sizes_ok and p_ok and isinstance(ell, int):
-        radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
+        radius, _ = _ring_size(cfg)
         ell_out = abs(ell) * p
         if ell_out and 2 * np.pi * radius / (ell_out * cfg["pitch"]) < 8.0:
             v.append(
                 f"grid sampling: output charge {ell_out} has fewer than 8 "
                 "pixels per azimuthal cycle at the ring radius")
+        window = cfg.get("ell_window", cfg.get("ell_out_max"))
+        if isinstance(window, int) and 0 <= window < ell_out:
+            v.append(
+                f"analysis window: the target charge p*|{key}| = {ell_out} "
+                f"lies outside a window of {window}")
     if not p_ok:
         v.append("p must be odd for the symmetric fan-out scheme")
     return v
@@ -297,11 +308,16 @@ def _grid_protocol(cfg: dict, compression_time: float):
                                 scheme=cfg["scheme"])
 
 
-def _pipeline_from(cfg: dict) -> MultiplierPipelineConfig:
-    grid = GridSpec(n=cfg["grid_n"], pitch=cfg["pitch"])
+def _ring_size(cfg: dict) -> tuple:
+    """Ring radius and width, defaulting to b and radius / 7.5."""
     radius = cfg["ring_radius"] if cfg["ring_radius"] is not None else cfg["b"]
     width = cfg["ring_width"] if cfg["ring_width"] is not None else radius / 7.5
-    ring = RingSpec(radius=radius, width=width)
+    return radius, width
+
+
+def _pipeline_from(cfg: dict) -> MultiplierPipelineConfig:
+    grid = GridSpec(n=cfg["grid_n"], pitch=cfg["pitch"])
+    ring = RingSpec(*_ring_size(cfg))
     return MultiplierPipelineConfig.design(
         p=cfg["p"], grid=grid, ring=ring, a_target=cfg["a_target"],
         b=cfg["b"], f=cfg["f"], wavelength=cfg["wavelength"], mu=cfg["mu"])
@@ -384,6 +400,8 @@ def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> dict:
         "target_fraction": spec.fraction(target),
         "far_leakage": far,
         "output_power": diag["output_power"],
+        # the key is there only when the bench warns, as for well-dynamic
+        **({"warnings": [diag["warning"]]} if "warning" in diag else {}),
     }
 
 

@@ -13,13 +13,13 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, fft2, ifft
+from scipy.fft import fft, ifft
 
 from .optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                      SorterConfig, fanout_order_coefficients,
                      fanout_grating_phase, make_oam_mode, oam_spectrum,
-                     _log_polar, _phase1, _phasor, _polar_samples,
-                     _ring_geometry, _xy, sorter_phase2)
+                     _log_polar, _mirror_rows, _phase1, _phasor,
+                     _polar_samples, _ring_geometry, _top, _xy, sorter_phase2)
 
 __all__ = [
     "MultiplierPipelineConfig",
@@ -125,12 +125,16 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
                else os.cpu_count() or 1)
     du = s.wavelength * s.f / (n * dx)      # transform-plane pitch
 
+    # the geometry and both masks are even in y: each is built on rows
+    # 0..mid and mirrored (_mirror_rows) into a buffer allocated here
     x, y = _xy(e)
-    logr, theta = _log_polar(x, y, s.b)
+    logr, theta = _log_polar(x, _top(y), s.b)
     intensity = np.abs(e.samples) ** 2
     total = np.sum(intensity)
     # design annulus: |log(r/b)| <= 0.7
-    outside = np.sum(intensity[np.abs(logr) > 0.7]) / total if total else 0.0
+    far = np.empty((n, n), dtype=bool)
+    np.greater(np.abs(logr), 0.7, out=_top(far))
+    outside = np.sum(intensity[_mirror_rows(far)]) / total if total else 0.0
     diagnostics["outside_annulus_fraction"] = float(outside)
     if outside > 0.05:
         diagnostics["warning"] = (
@@ -144,12 +148,17 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     # and (-1)^((p + 1) j) = 1 for odd p.  The two left over, at the input
     # and at the output, fold into mask1.  The four lens scales multiply
     # to 1, so w is never scaled; the stage powers carry (dx / n)^2.
-    mask1 = _checkerboard(_phasor(_phase1(x, y, logr, theta, s)))
-    del logr, theta
-    w = fft2(e.samples * mask1, overwrite_x=True)
+    mask1 = np.empty((n, n), dtype=complex)
+    _phasor(_phase1(x, _top(y), logr, theta, s), out=_top(mask1))
+    _checkerboard(_mirror_rows(mask1))
+    del logr, theta, far
+    # fft2 as its two axis passes, in its order: they scale with workers
+    w = fft(e.samples * mask1, axis=0, overwrite_x=True, workers=workers)
+    w = fft(w, axis=1, overwrite_x=True, workers=workers)
     uv = (np.arange(n) - mid) * du
-    mask2 = _phasor(sorter_phase2(uv[None, :], uv[:, None], s))
-    w *= mask2
+    mask2 = np.empty((n, n), dtype=complex)
+    _phasor(sorter_phase2(uv[None, :], _top(uv[:, None]), s), out=_top(mask2))
+    w *= _mirror_rows(mask2)
     diagnostics["strip_power"] = _power(w, dx / n)
 
     # the grating plane has the input pitch, and the grating varies along
@@ -285,7 +294,10 @@ def _petal_input(ell: int, cfg: MultiplierPipelineConfig) -> Field2D:
     modes share the amplitude and the norm."""
     amp, x, y = _ring_geometry(cfg.ring, cfg.grid, ell)
     norm = np.sqrt(np.sum(amp ** 2) * cfg.grid.pitch ** 2)
-    field = amp * np.cos(ell * np.arctan2(y, x))
+    # even in y, and real: the product mirrors exactly
+    field = np.empty(amp.shape)
+    np.multiply(_top(amp), np.cos(ell * np.arctan2(_top(y), x)), out=_top(field))
+    _mirror_rows(field)
     field *= np.sqrt(2.0) / norm
     return Field2D(samples=field, pitch=cfg.grid.pitch,
                    wavelength=cfg.sorter.wavelength, plane="input")

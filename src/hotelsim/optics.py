@@ -213,8 +213,10 @@ def _ring_geometry(ring: RingSpec, grid: GridSpec, ell: int):
         raise ValueError("ring does not fit in the grid window")
     c = grid.axis()
     x, y = c[None, :], c[:, None]
-    amp = np.exp(-((np.hypot(x, y) - ring.radius) / ring.width) ** 2)
-    return amp, x, y
+    amp = np.empty((grid.n, grid.n))
+    np.exp(-((np.hypot(x, _top(y)) - ring.radius) / ring.width) ** 2,
+           out=_top(amp))
+    return _mirror_rows(amp), x, y
 
 
 def make_oam_mode(ell: int, ring: RingSpec, grid: GridSpec,
@@ -225,7 +227,12 @@ def make_oam_mode(ell: int, ring: RingSpec, grid: GridSpec,
     is sampled by at least 8 pixels per cycle.
     """
     amp, x, y = _ring_geometry(ring, grid, ell)
-    fieldv = amp * _phasor(ell * np.arctan2(y, x))
+    fieldv = np.empty(amp.shape, dtype=complex)
+    _phasor(ell * np.arctan2(_top(y), x), out=_top(fieldv))
+    # the product is taken on the full raster: where amp is subnormal, the
+    # signs of the zeros it gives are not mirror-symmetric.  Phasor first,
+    # as numpy evaluates amp * phasor when the phasor is a temporary.
+    np.multiply(_mirror_rows(fieldv, conjugate=True), amp, out=fieldv)
     fieldv /= np.sqrt(np.sum(np.abs(fieldv) ** 2) * grid.pitch ** 2)
     return Field2D(samples=fieldv, pitch=grid.pitch, wavelength=wavelength,
                    plane="input")
@@ -310,9 +317,36 @@ def _side_by_side(first, second) -> None:
         raise failure[0]
 
 
-def _phasor(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase), written as cos and sin into one complex array."""
-    out = np.empty(np.shape(phase), dtype=complex)
+def _top(a: np.ndarray) -> np.ndarray:
+    """Rows 0..n//2 of a raster or of a y column: the rows y <= 0 that
+    _mirror_rows completes."""
+    return a[:a.shape[0] // 2 + 1]
+
+
+def _mirror_rows(a: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """Complete a raster that is even in y from its rows 0..mid (mid = n//2):
+    row mid + j is row mid - j, conjugated if `conjugate`.  Returns a.
+
+    On the centred grid y[mid + j] = -y[mid - j] exactly, and hypot, log,
+    cos and y * atan2(y, x) are even in y, and atan2 and sin odd, bit for
+    bit; so a raster built from them is mirrored exactly.  The conjugate's
+    imaginary part is written as 0.0 - v: a zero comes out +0.0 whatever
+    the sign of its source, as sin(0 * theta) is for y > 0.
+    """
+    mid = a.shape[0] // 2
+    if conjugate:
+        a.real[mid + 1:] = a.real[mid - 1:0:-1]
+        np.subtract(0.0, a.imag[mid - 1:0:-1], out=a.imag[mid + 1:])
+    else:
+        a[mid + 1:] = a[mid - 1:0:-1]
+    return a
+
+
+def _phasor(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i phase), written as cos and sin into one complex array (out,
+    if given, is allocated by the caller)."""
+    if out is None:
+        out = np.empty(np.shape(phase), dtype=complex)
     _side_by_side(lambda: np.cos(phase, out=out.real),
                   lambda: np.sin(phase, out=out.imag))
     return out

@@ -226,6 +226,41 @@ class TestCommands:
                        "--set", f"ell={ell}") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, sets, report", [
+        ("oam-multiply", ["grid_n=256"], "ring does not fit"),
+        ("oam-petals", ["grid_n=256"], "ring does not fit"),
+        ("oam-crosstalk", ["ring_radius=0.0035", "ring_width=0.0006",
+                           "grid_n=512", "pitch=2e-5"], "ring does not fit"),
+        ("oam-multiply", ["ell=3", "ell_window=5"], "analysis window"),
+        ("oam-multiply", ["ell=-2", "ell_window=5"], "analysis window"),
+        ("oam-crosstalk", ["ell_out_max=8"], "analysis window"),
+    ])
+    def test_oam_run_that_cannot_finish_exits_2(self, tmp_path, capsys,
+                                                experiment, sets, report):
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("validate", experiment, *args) == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert len(violations) == 1 and report in violations[0]
+        out = tmp_path / "r"
+        assert run_cli("run", experiment, "--out", str(out), *args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, sets", [
+        ("oam-multiply", ["ell=3", "ell_window=9"]),
+        ("oam-crosstalk", ["ell_out_max=9"]),
+    ])
+    def test_window_holding_the_target_passes(self, capsys, experiment, sets):
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("validate", experiment, *args) == 0
+        assert yaml.safe_load(capsys.readouterr().out)["violations"] == []
+
+    def test_ring_edge_on_the_half_window_runs(self, tmp_path):
+        # ring_radius + 3 ring_width = grid_n * pitch / 2 = 2.56 mm exactly
+        args = ["--set", "grid_n=256", "--set", "pitch=2e-5",
+                "--set", "ring_radius=0.00232", "--set", "ring_width=0.00008"]
+        assert run_cli("run", "oam-multiply", "--out", str(tmp_path / "r"),
+                       *args) == 0
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "well-ideal",
                        "--config", str(tmp_path / "nope.yaml")) == 2
@@ -269,6 +304,25 @@ class TestRunArtifacts:
         assert sorted(manifest["artifacts"]) == written
         for rel, digest in manifest["artifacts"].items():
             assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
+
+    def test_off_annulus_warning_reaches_metrics(self, tmp_path):
+        out = tmp_path / "r"
+        assert run_cli("run", "oam-multiply", "--out", str(out),
+                       "--set", "grid_n=512", "--set", "pitch=4e-5",
+                       "--set", "ring_radius=0.0085",
+                       "--set", "ring_width=0.0002") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["warnings"] == [
+            "more than 5% of the input power lies outside the design "
+            "annulus; the log-polar map is inaccurate there"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"] == metrics
+
+    def test_on_annulus_run_has_no_warnings_key(self, tmp_path):
+        out = tmp_path / "r"
+        assert run_cli("run", "oam-multiply", "--out", str(out),
+                       "--set", "grid_n=512", "--set", "pitch=4e-5") == 0
+        assert "warnings" not in json.loads((out / "metrics.json").read_text())
 
     def test_carpet_run_writes_raster(self, tmp_path):
         out = tmp_path / "run"
@@ -414,6 +468,9 @@ def test_output_does_not_depend_on_cpu_affinity(tmp_path):
         "oam-multiply": (["--set", "ell=1", "--set", "grid_n=512",
                           "--set", "pitch=40e-6"],
                          ["metrics.json", "rasters/output_field.bin"]),
+        "oam-petals": (["--set", "ell=2", "--set", "grid_n=512",
+                        "--set", "pitch=40e-6"],
+                       ["metrics.json", "series/ring_profile.csv"]),
     }
     cpus = sorted(os.sched_getaffinity(0))
     for experiment, (args, files) in runs.items():

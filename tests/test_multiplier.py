@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hotelsim.multiplier import (AmbiguousHarmonicError, CrosstalkMatrix,
                                  MultiplierPipelineConfig, _count_petals,
@@ -10,7 +11,7 @@ from hotelsim.multiplier import (AmbiguousHarmonicError, CrosstalkMatrix,
 from hotelsim.optics import (GridSpec, RingSpec, fanout_grating_phase,
                              fanout_order_coefficients, field_overlap,
                              fourier_lens, inverse_fourier_lens, make_oam_mode,
-                             oam_spectrum, sorter_phase2)
+                             oam_spectrum, sorter_phase2, _ring_geometry)
 
 CFG = MultiplierPipelineConfig.design(p=3)
 
@@ -216,6 +217,29 @@ class TestOnePassBench:
         odd = e.with_samples(e.samples[:-1, :-1])
         with pytest.raises(ValueError, match="even"):
             multiply_oam(odd, CFG)
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_two_axis_passes_are_fft2(self, n):
+        # the first lens: axis 0, then axis 1, on any number of workers
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = scipy.fft.fft2(a).tobytes()
+        for workers in (1, 2):
+            two = scipy.fft.fft(a, axis=0, workers=workers)
+            two = scipy.fft.fft(two, axis=1, overwrite_x=True, workers=workers)
+            assert two.tobytes() == want
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_petal_input_matches_direct_build(self, n, ell):
+        cfg = MultiplierPipelineConfig.design(
+            p=3, grid=GridSpec(n=n, pitch=20480e-6 / n))
+        amp, x, y = _ring_geometry(cfg.ring, cfg.grid, ell)
+        ref = amp * np.cos(ell * np.arctan2(y, x))
+        ref *= np.sqrt(2.0) / np.sqrt(np.sum(amp ** 2) * cfg.grid.pitch ** 2)
+        got = _petal_input(ell, cfg).samples
+        assert got.real.tobytes() == ref.tobytes()
+        assert not np.any(got.imag)
 
     @pytest.mark.parametrize("ell", [1, 3])
     def test_petal_input_is_the_two_mode_sum(self, ell):

@@ -13,8 +13,8 @@ from scipy.ndimage import map_coordinates
 
 import hotelsim
 from hotelsim import optics
-from hotelsim.multiplier import (MultiplierPipelineConfig, multiply_oam,
-                                 petal_test)
+from hotelsim.multiplier import (MultiplierPipelineConfig, _checkerboard,
+                                 multiply_oam, petal_test)
 from hotelsim.optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                              SorterConfig, UndersampledError, field_overlap,
                              fanout_grating_phase, fanout_order_coefficients,
@@ -417,6 +417,82 @@ class TestSideBySide:
         got = optics._phasor(phase)
         assert np.array_equal(got.real, np.cos(phase))
         assert np.array_equal(got.imag, np.sin(phase))
+
+
+# (grid, ring) pairs: at 2048 the small ring's amplitude underflows to
+# subnormals and zeros over most of the raster
+MIRROR_CASES = {
+    "256": (GridSpec(n=256, pitch=10e-6), RingSpec(0.6e-3, 0.12e-3)),
+    "2048": (GridSpec(n=2048, pitch=10e-6), RingSpec(3e-3, 0.4e-3)),
+    "2048-small-ring": (GridSpec(n=2048, pitch=10e-6), RingSpec(0.6e-3, 0.12e-3)),
+}
+
+
+class TestMirroredRows:
+    """Rasters even in y are built on rows 0..n/2 and completed by
+    _mirror_rows; they equal their direct full-raster builds byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+    def test_ring_geometry_matches_direct_build(self, case):
+        grid, ring = MIRROR_CASES[case]
+        amp, x, y = optics._ring_geometry(ring, grid, 0)
+        ref = np.exp(-((np.hypot(x, y) - ring.radius) / ring.width) ** 2)
+        assert amp.tobytes() == ref.tobytes()
+
+    # TestSideBySide compares the ring modes at n = 256
+    @pytest.mark.parametrize("ell", [-3, 0, 2])
+    @pytest.mark.parametrize("case", ["2048", "2048-small-ring"])
+    def test_ring_mode_matches_direct_build(self, case, ell):
+        grid, ring = MIRROR_CASES[case]
+        amp, x, y = optics._ring_geometry(ring, grid, ell)
+        ref = amp * np.exp(1j * ell * np.arctan2(y, x))
+        ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * grid.pitch ** 2)
+        assert make_oam_mode(ell, ring, grid).samples.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_direct_builds_are_mirror_symmetric(self, n):
+        # mirroring a direct full build changes no byte of it
+        grid = GridSpec(n=n, pitch=10e-6)
+        s = SorterConfig(b=0.6e-3)
+        c = grid.axis()
+        x, y = c[None, :], c[:, None]
+        ring = RingSpec(0.6e-3, 0.12e-3)
+
+        def phase1_mask():
+            return _checkerboard(optics._phasor(sorter_phase1(x, y, s)))
+
+        def phase2_mask():
+            uv = (np.arange(n) - n // 2) * 2e-5
+            return optics._phasor(sorter_phase2(uv[None, :], uv[:, None], s))
+
+        even = {
+            "ring amplitude": lambda: np.exp(
+                -((np.hypot(x, y) - ring.radius) / ring.width) ** 2),
+            "off annulus": lambda: np.abs(optics._log_polar(x, y, s.b)[0]) > 0.7,
+            "mask1": phase1_mask,
+            "mask2": phase2_mask,
+            "petals": lambda: np.cos(3 * np.arctan2(y, x)),
+        }
+        for name, build in even.items():
+            a = build()
+            assert optics._mirror_rows(a.copy()).tobytes() == a.tobytes(), name
+        for ell in (-3, 0, 2):
+            a = optics._phasor(ell * np.arctan2(y, x))
+            assert (optics._mirror_rows(a.copy(), conjugate=True).tobytes()
+                    == a.tobytes()), ell
+
+    def test_mirror_fills_rows_below_from_rows_above(self):
+        a = np.arange(6 * 3, dtype=float).reshape(6, 3)
+        got = optics._mirror_rows(a.copy())
+        assert np.array_equal(got[:4], a[:4])
+        assert np.array_equal(got[4:], a[[2, 1]])
+        z = a + 1j * a
+        z[1, 0] = -0.0j
+        z[2, 0] = 0.0j
+        got = optics._mirror_rows(z.copy(), conjugate=True)
+        assert np.array_equal(got[4:], np.conjugate(z[[2, 1]]))
+        # a conjugated zero is +0.0, whatever the sign of the source's zero
+        assert not np.signbit(got[4:, 0].imag).any()
 
 
 class TestThreadLifecycle:
