@@ -400,15 +400,20 @@ def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> dict:
         "target_fraction": spec.fraction(target),
         "far_leakage": far,
         "output_power": diag["output_power"],
-        # the key is there only when the bench warns, as for well-dynamic
-        **({"warnings": [diag["warning"]]} if "warning" in diag else {}),
+        **_bench_warnings(diag),
     }
+
+
+def _bench_warnings(diag: dict) -> dict:
+    # the key is there only when the bench warns, as for well-dynamic
+    return {"warnings": [diag["warning"]]} if "warning" in diag else {}
 
 
 def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> dict:
     pipe = _pipeline_from(cfg)
+    bench: dict = {}
     matrix = crosstalk_matrix(pipe, cfg["ell_in_max"], cfg["ell_out_max"],
-                              method=cfg["spectrum_method"])
+                              method=cfg["spectrum_method"], diagnostics=bench)
     write_csv(out / "series" / "crosstalk.csv",
               ["ell_in"] + [f"out_{int(l)}" for l in matrix.ell_out],
               [[int(li)] + [x for x in row]
@@ -423,16 +428,18 @@ def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> dict:
         "diagonal_at_p_ell": diag_ok,
         "dominant_outputs": [int(d) for d in doms],
         "target_fractions": diag_fracs,
+        **_bench_warnings(bench),
     }
 
 
 def _run_oam_petals(cfg: dict, out: Path, parallel: int) -> dict:
     pipe = _pipeline_from(cfg)
-    report = petal_test(cfg["ell"], pipe)
+    diag: dict = {}
+    report = petal_test(cfg["ell"], pipe, diagnostics=diag)
     write_csv(out / "series" / "ring_profile.csv",
               ["theta_index", "intensity"],
               list(enumerate(report.ring_profile)))
-    return report.to_dict()
+    return {**report.to_dict(), **_bench_warnings(diag)}
 
 
 def _run_carpet(cfg: dict, out: Path, parallel: int) -> dict:

@@ -18,8 +18,8 @@ from scipy.fft import fft, ifft
 from .optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
                      SorterConfig, fanout_order_coefficients,
                      fanout_grating_phase, make_oam_mode, oam_spectrum,
-                     _log_polar, _mirror_rows, _phase1, _phasor,
-                     _polar_samples, _ring_geometry, _top, _xy, sorter_phase2)
+                     _mirror_rows, _polar_samples, _ring_geometry,
+                     _sorter_mask1, _sorter_mask2, _top)
 
 __all__ = [
     "MultiplierPipelineConfig",
@@ -79,16 +79,9 @@ class MultiplierPipelineConfig:
         sorter = SorterConfig(a=a, b=b, f=f, wavelength=wavelength)
         # order spacing of one strip width: lambda f / period = 2 pi a
         period = wavelength * f / (2.0 * np.pi * a)
-        fanout = FanoutConfig(mu=mu, copies=p, period=period, cylinder_f=f / p)
+        fanout = FanoutConfig(mu=mu, copies=p, period=period)
         return cls(sorter=sorter, fanout=fanout, grid=grid, ring=ring, p=p,
                    strip_pixels=k)
-
-
-def _checkerboard(w: np.ndarray) -> np.ndarray:
-    """w *= (-1)^(i + j), in place."""
-    np.negative(w[::2, 1::2], out=w[::2, 1::2])
-    np.negative(w[1::2, ::2], out=w[1::2, ::2])
-    return w
 
 
 def _power(w: np.ndarray, pitch: float) -> float:
@@ -113,8 +106,6 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     One working raster goes through the whole bench.  Each sorter mask is
     built once, and the wrap multiplies by its conjugate.
     """
-    if e.n % 2:
-        raise ValueError("the bench needs an even raster size")
     if diagnostics is None:
         diagnostics = {}
     s = cfg.sorter
@@ -123,48 +114,29 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     # os.sched_getaffinity is Linux-only; elsewhere every CPU counts.
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    du = s.wavelength * s.f / (n * dx)      # transform-plane pitch
 
-    # the geometry and both masks are even in y: each is built on rows
-    # 0..mid and mirrored (_mirror_rows) into a buffer allocated here
-    x, y = _xy(e)
-    logr, theta = _log_polar(x, _top(y), s.b)
+    # the four lens scales multiply to 1: the stage powers carry (dx / n)^2
+    mask1, far = _sorter_mask1(n, dx, s)
     intensity = np.abs(e.samples) ** 2
     total = np.sum(intensity)
-    # design annulus: |log(r/b)| <= 0.7
-    far = np.empty((n, n), dtype=bool)
-    np.greater(np.abs(logr), 0.7, out=_top(far))
-    outside = np.sum(intensity[_mirror_rows(far)]) / total if total else 0.0
+    outside = np.sum(intensity[far]) / total if total else 0.0
     diagnostics["outside_annulus_fraction"] = float(outside)
     if outside > 0.05:
         diagnostics["warning"] = (
             "more than 5% of the input power lies outside the design "
             "annulus; the log-polar map is inaccurate there")
-    del intensity
-
-    # A centred lens is fftshift(fft2(ifftshift(w))) = C fft2(C w) for even
-    # n, with C = (-1)^(i + j).  Along the chain the C of one lens cancels
-    # the next one's; across the squeeze, row mid + p j lands on mid + j
-    # and (-1)^((p + 1) j) = 1 for odd p.  The two left over, at the input
-    # and at the output, fold into mask1.  The four lens scales multiply
-    # to 1, so w is never scaled; the stage powers carry (dx / n)^2.
-    mask1 = np.empty((n, n), dtype=complex)
-    _phasor(_phase1(x, _top(y), logr, theta, s), out=_top(mask1))
-    _checkerboard(_mirror_rows(mask1))
-    del logr, theta, far
+    del intensity, far
     # fft2 as its two axis passes, in its order: they scale with workers
     w = fft(e.samples * mask1, axis=0, overwrite_x=True, workers=workers)
     w = fft(w, axis=1, overwrite_x=True, workers=workers)
-    uv = (np.arange(n) - mid) * du
-    mask2 = np.empty((n, n), dtype=complex)
-    _phasor(sorter_phase2(uv[None, :], _top(uv[:, None]), s), out=_top(mask2))
-    w *= _mirror_rows(mask2)
+    mask2 = _sorter_mask2(n, s.wavelength * s.f / (n * dx), s)
+    w *= mask2
     diagnostics["strip_power"] = _power(w, dx / n)
 
     # the grating plane has the input pitch, and the grating varies along
     # y only: of the two lenses around it only the y transforms act
     w = fft(w, axis=0, overwrite_x=True, workers=workers)
-    w *= np.exp(1j * fanout_grating_phase(y, cfg.fanout))
+    w *= np.exp(1j * fanout_grating_phase(e.axis()[:, None], cfg.fanout))
     w = ifft(w, axis=0, overwrite_x=True, workers=workers)
 
     # phase-correct the rows the squeeze keeps, then decimate them:
@@ -193,8 +165,7 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     w *= np.conjugate(mask1, out=mask1)
     del mask1
     diagnostics["output_power"] = _power(w, dx)
-    return Field2D(samples=w, pitch=dx, wavelength=e.wavelength,
-                   plane="multiplied")
+    return Field2D(samples=w, pitch=dx, wavelength=e.wavelength)
 
 
 @dataclass(frozen=True)
@@ -229,9 +200,11 @@ class CrosstalkMatrix:
 
 def crosstalk_matrix(cfg: MultiplierPipelineConfig, ell_in_max: int = 3,
                      ell_out_max: int | None = None,
-                     method: str = "azimuthal-decomposition") -> CrosstalkMatrix:
+                     method: str = "azimuthal-decomposition",
+                     diagnostics: dict | None = None) -> CrosstalkMatrix:
     """Run each input eigenmode through the bench and record its output
-    spectrum row by row."""
+    spectrum row by row.  `diagnostics` goes to multiply_oam for every row:
+    it ends with the last row's figures, and a warning if any row warned."""
     if ell_out_max is None:
         ell_out_max = cfg.p * ell_in_max + 6
     ells_in = np.arange(-ell_in_max, ell_in_max + 1)
@@ -239,7 +212,7 @@ def crosstalk_matrix(cfg: MultiplierPipelineConfig, ell_in_max: int = 3,
     for ell in ells_in:
         mode = make_oam_mode(int(ell), cfg.ring, cfg.grid,
                              cfg.sorter.wavelength)
-        out = multiply_oam(mode, cfg)
+        out = multiply_oam(mode, cfg, diagnostics=diagnostics)
         spec = oam_spectrum(out, ell_out_max, method=method, ring=cfg.ring)
         rows.append(spec.fractions)
     return CrosstalkMatrix(ell_in=ells_in,
@@ -300,20 +273,21 @@ def _petal_input(ell: int, cfg: MultiplierPipelineConfig) -> Field2D:
     _mirror_rows(field)
     field *= np.sqrt(2.0) / norm
     return Field2D(samples=field, pitch=cfg.grid.pitch,
-                   wavelength=cfg.sorter.wavelength, plane="input")
+                   wavelength=cfg.sorter.wavelength)
 
 
-def petal_test(ell: int, cfg: MultiplierPipelineConfig) -> PetalReport:
+def petal_test(ell: int, cfg: MultiplierPipelineConfig,
+               diagnostics: dict | None = None) -> PetalReport:
     """Coherence witness: feed (|l> + |-l>)/sqrt(2) through the bench.
 
     The input shows 2|l| intensity petals; a coherent multiplier yields
-    2 p |l| petals with high visibility.
+    2 p |l| petals with high visibility.  `diagnostics` goes to multiply_oam.
     """
     if ell < 1:
         raise ValueError("petal test needs a positive charge")
     sup = _petal_input(ell, cfg)
     petals_in, _, _, _ = _count_petals(sup, 2 * ell)
-    out = multiply_oam(sup, cfg)
+    out = multiply_oam(sup, cfg, diagnostics=diagnostics)
     petals_out, vis, profile, radius = _count_petals(out, 2 * cfg.p * ell)
     return PetalReport(petals_in=petals_in, petals_out=petals_out,
                        visibility=vis, ring_profile=profile,

@@ -3,8 +3,8 @@ masks for the log-polar mode sorter, and fan-out grating analysis.
 
 Fields are complex samples on a centred square grid (pixel (N/2, N/2) is
 the optical axis).  Lenses are ideal 2f relays: a single unitary scaled
-Fourier transform connects consecutive planes, so a whole bench is a chain
-of pure linear maps on immutable arrays.
+Fourier transform connects consecutive planes; the sorter stages fold the
+centring of fourier_lens into their first mask and run plain FFTs.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class GridSpec:
         if self.pitch <= 0:
             raise ValueError("pixel pitch must be positive")
 
-    @property
-    def window(self) -> float:
-        return self.n * self.pitch
-
     def axis(self) -> np.ndarray:
         """Centred pixel coordinates; index n//2 sits on the axis."""
         return (np.arange(self.n) - self.n // 2) * self.pitch
@@ -89,7 +85,6 @@ class Field2D:
     samples: np.ndarray
     pitch: float
     wavelength: float
-    plane: str = "input"
 
     def __post_init__(self):
         # a read-only view: the caller's own array stays writable
@@ -111,11 +106,8 @@ class Field2D:
     def power(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.pitch ** 2)
 
-    def with_samples(self, samples, plane: str | None = None) -> "Field2D":
-        out = replace(self, samples=np.asarray(samples, dtype=complex))
-        if plane is not None:
-            out = replace(out, plane=plane)
-        return out
+    def with_samples(self, samples) -> "Field2D":
+        return replace(self, samples=samples)
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
@@ -154,11 +146,10 @@ class FanoutConfig:
     mu: float = 1.32859
     copies: int = 3
     period: float = 1.26e-4
-    cylinder_f: float = 0.25
 
     def __post_init__(self):
-        if self.mu <= 0 or self.period <= 0 or self.cylinder_f <= 0:
-            raise ValueError("mu, period and cylinder_f must be positive")
+        if self.mu <= 0 or self.period <= 0:
+            raise ValueError("mu and period must be positive")
         if self.copies < 1 or self.copies % 2 == 0:
             raise ValueError("symmetric-order fan-out needs an odd copy count")
 
@@ -209,7 +200,7 @@ def _ring_geometry(ring: RingSpec, grid: GridSpec, ell: int):
             raise UndersampledError(
                 f"azimuthal phase of l={ell} sampled {per_cycle:.1f}x per "
                 "cycle at the ring radius; need >= 8")
-    if ring.radius + 3.0 * ring.width > grid.window / 2.0:
+    if ring.radius + 3.0 * ring.width > grid.n * grid.pitch / 2.0:
         raise ValueError("ring does not fit in the grid window")
     c = grid.axis()
     x, y = c[None, :], c[:, None]
@@ -234,8 +225,7 @@ def make_oam_mode(ell: int, ring: RingSpec, grid: GridSpec,
     # as numpy evaluates amp * phasor when the phasor is a temporary.
     np.multiply(_mirror_rows(fieldv, conjugate=True), amp, out=fieldv)
     fieldv /= np.sqrt(np.sum(np.abs(fieldv) ** 2) * grid.pitch ** 2)
-    return Field2D(samples=fieldv, pitch=grid.pitch, wavelength=wavelength,
-                   plane="input")
+    return Field2D(samples=fieldv, pitch=grid.pitch, wavelength=wavelength)
 
 
 def field_overlap(a: Field2D, b: Field2D) -> complex:
@@ -257,7 +247,7 @@ def fourier_lens(e: Field2D, f: float) -> Field2D:
     scale = e.pitch ** 2 / (1j * e.wavelength * f)
     samples = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(e.samples)))
     return Field2D(samples=scale * samples, pitch=out_pitch,
-                   wavelength=e.wavelength, plane=e.plane + ">fourier")
+                   wavelength=e.wavelength)
 
 
 def inverse_fourier_lens(e: Field2D, f: float) -> Field2D:
@@ -268,7 +258,7 @@ def inverse_fourier_lens(e: Field2D, f: float) -> Field2D:
     scale = 1j * e.wavelength * f / out_pitch ** 2
     samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(e.samples)))
     return Field2D(samples=scale * samples, pitch=out_pitch,
-                   wavelength=e.wavelength, plane=e.plane + ">inv-fourier")
+                   wavelength=e.wavelength)
 
 
 def _xy(e: Field2D):
@@ -374,25 +364,61 @@ def sorter_phase2(u: np.ndarray, v: np.ndarray, cfg: SorterConfig) -> np.ndarray
             * np.exp(-u / cfg.a) * np.cos(v / cfg.a))
 
 
+def _checkerboard(w: np.ndarray) -> np.ndarray:
+    """w *= (-1)^(i + j), in place."""
+    np.negative(w[::2, 1::2], out=w[::2, 1::2])
+    np.negative(w[1::2, ::2], out=w[1::2, ::2])
+    return w
+
+
+def _sorter_mask1(n: int, pitch: float, cfg: SorterConfig):
+    """C exp(i phi1) on the even n x n raster of the given pitch, and the
+    pixels off the design annulus, |log(r / b)| > 0.7; both even in y.
+
+    A centred lens is C fft2(C w), with C = (-1)^(i + j).  Along a chain the
+    C of one lens cancels the next one's, and across the multiplier's squeeze
+    row mid + p j lands on mid + j with (-1)^((p + 1) j) = 1 for odd p.  The
+    two left over, at the input and at the output, fold into this mask.
+    """
+    c = GridSpec(n=n, pitch=pitch).axis()   # raises ValueError for an odd n
+    x, y = c[None, :], _top(c[:, None])
+    logr, theta = _log_polar(x, y, cfg.b)
+    far = np.empty((n, n), dtype=bool)
+    np.greater(np.abs(logr), 0.7, out=_top(far))
+    mask1 = np.empty((n, n), dtype=complex)
+    _phasor(_phase1(x, y, logr, theta, cfg), out=_top(mask1))
+    return _checkerboard(_mirror_rows(mask1)), _mirror_rows(far)
+
+
+def _sorter_mask2(n: int, pitch: float, cfg: SorterConfig) -> np.ndarray:
+    """exp(i phi2) on the n x n transform plane of the given pitch."""
+    uv = GridSpec(n=n, pitch=pitch).axis()
+    mask2 = np.empty((n, n), dtype=complex)
+    _phasor(sorter_phase2(uv[None, :], _top(uv[:, None]), cfg), out=_top(mask2))
+    return _mirror_rows(mask2)
+
+
 def sorter_unwrap(e: Field2D, cfg: SorterConfig) -> Field2D:
-    """Annulus -> strip: mask1, Fourier lens, mask2.
+    """Annulus -> strip on an even raster: mask1, Fourier lens, mask2.
 
     A charge-l input exp(i l theta) at radius b becomes a horizontal strip
     around u = 0 whose phase ramps by 2 pi l across the v extent 2 pi a.
     """
-    lensed = fourier_lens(
-        e.with_samples(e.samples * _phasor(sorter_phase1(*_xy(e), cfg))), cfg.f)
-    return lensed.with_samples(
-        lensed.samples * _phasor(sorter_phase2(*_xy(lensed), cfg)), plane="unwrapped")
+    du = e.wavelength * cfg.f / (e.n * e.pitch)
+    w = np.fft.fft2(e.samples * _sorter_mask1(e.n, e.pitch, cfg)[0])
+    w *= _sorter_mask2(e.n, du, cfg)
+    w *= e.pitch ** 2 / (1j * e.wavelength * cfg.f)
+    return Field2D(samples=_checkerboard(w), pitch=du, wavelength=e.wavelength)
 
 
 def sorter_wrap(e: Field2D, cfg: SorterConfig) -> Field2D:
     """Strip -> annulus: the exact operator inverse of sorter_unwrap."""
-    undo2 = e.with_samples(
-        e.samples * _phasor(sorter_phase2(*_xy(e), cfg)).conj())
-    back = inverse_fourier_lens(undo2, cfg.f)
-    return back.with_samples(
-        back.samples * _phasor(sorter_phase1(*_xy(back), cfg)).conj(), plane="wrapped")
+    dx = e.wavelength * cfg.f / (e.n * e.pitch)
+    w = e.samples * np.conjugate(_sorter_mask2(e.n, e.pitch, cfg))
+    w = np.fft.ifft2(_checkerboard(w))
+    w *= np.conjugate(_sorter_mask1(e.n, dx, cfg)[0])
+    w *= 1j * e.wavelength * cfg.f / dx ** 2
+    return Field2D(samples=w, pitch=dx, wavelength=e.wavelength)
 
 
 def fanout_grating_phase(x: np.ndarray, cfg: FanoutConfig) -> np.ndarray:

@@ -324,6 +324,35 @@ class TestRunArtifacts:
                        "--set", "grid_n=512", "--set", "pitch=4e-5") == 0
         assert "warnings" not in json.loads((out / "metrics.json").read_text())
 
+    @pytest.mark.parametrize("experiment, sets", [
+        ("oam-petals", ["ell=1"]), ("oam-crosstalk", ["ell_in_max=1"])])
+    def test_off_annulus_warning_reaches_bench_metrics(self, tmp_path,
+                                                       experiment, sets):
+        # the ring at 8.5 mm lies far outside the sorter's design annulus
+        out = tmp_path / "r"
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("run", experiment, "--out", str(out),
+                       "--set", "grid_n=512", "--set", "pitch=4e-5",
+                       "--set", "ring_radius=0.0085",
+                       "--set", "ring_width=0.0002", *args) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["warnings"] == [
+            "more than 5% of the input power lies outside the design "
+            "annulus; the log-polar map is inaccurate there"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"] == metrics
+
+    @pytest.mark.parametrize("experiment, sets", [
+        ("oam-petals", ["ell=2"]), ("oam-crosstalk", ["ell_in_max=1"])])
+    def test_on_annulus_bench_run_has_no_warnings_key(self, tmp_path,
+                                                      experiment, sets):
+        out = tmp_path / "r"
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("run", experiment, "--out", str(out),
+                       "--set", "grid_n=512", "--set", "pitch=4e-5",
+                       *args) == 0
+        assert "warnings" not in json.loads((out / "metrics.json").read_text())
+
     def test_carpet_run_writes_raster(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "carpet", "--out", str(out), *FAST_CARPET) == 0

@@ -13,14 +13,15 @@ from scipy.ndimage import map_coordinates
 
 import hotelsim
 from hotelsim import optics
-from hotelsim.multiplier import (MultiplierPipelineConfig, _checkerboard,
-                                 multiply_oam, petal_test)
+from hotelsim.multiplier import (MultiplierPipelineConfig, multiply_oam,
+                                 petal_test)
 from hotelsim.optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
-                             SorterConfig, UndersampledError, field_overlap,
-                             fanout_grating_phase, fanout_order_coefficients,
-                             fourier_lens, inverse_fourier_lens,
-                             make_oam_mode, oam_spectrum, sorter_phase1,
-                             sorter_phase2, sorter_unwrap, sorter_wrap)
+                             SorterConfig, UndersampledError, _checkerboard,
+                             field_overlap, fanout_grating_phase,
+                             fanout_order_coefficients, fourier_lens,
+                             inverse_fourier_lens, make_oam_mode, oam_spectrum,
+                             sorter_phase1, sorter_phase2, sorter_unwrap,
+                             sorter_wrap)
 
 GRID = GridSpec(n=1024, pitch=10e-6)
 RING = RingSpec(radius=1.2e-3, width=0.2e-3)
@@ -120,6 +121,28 @@ class TestFourierLens:
         assert w_out == pytest.approx(633e-9 * 0.5 / (np.pi * w), rel=1e-6)
 
 
+def centred_unwrap(e, cfg):
+    """sorter_unwrap built as full-raster masks around the centred lens."""
+    x = e.axis()
+    lensed = fourier_lens(e.with_samples(
+        e.samples * np.exp(1j * sorter_phase1(x[None, :], x[:, None], cfg))),
+        cfg.f)
+    u = lensed.axis()
+    return lensed.with_samples(
+        lensed.samples * np.exp(1j * sorter_phase2(u[None, :], u[:, None], cfg)))
+
+
+def centred_wrap(e, cfg):
+    """sorter_wrap built as full-raster masks around the centred lens."""
+    u = e.axis()
+    back = inverse_fourier_lens(e.with_samples(
+        e.samples * np.exp(-1j * sorter_phase2(u[None, :], u[:, None], cfg))),
+        cfg.f)
+    x = back.axis()
+    return back.with_samples(
+        back.samples * np.exp(-1j * sorter_phase1(x[None, :], x[:, None], cfg)))
+
+
 class TestSorter:
     def test_masks_are_phase_only(self):
         x, y = optics._xy(ring_mode(2))
@@ -189,6 +212,24 @@ class TestSorter:
         spacing = SORTER.wavelength * SORTER.f / (2.0 * np.pi * SORTER.a)
         assert fit[0] == pytest.approx(spacing, rel=0.05)
 
+    @pytest.mark.parametrize("stage, reference", [
+        (sorter_unwrap, centred_unwrap), (sorter_wrap, centred_wrap)],
+        ids=["unwrap", "wrap"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_stage_matches_centred_construction(self, n, stage, reference):
+        e = random_field(n, seed=n)
+        got, want = stage(e, SORTER), reference(e, SORTER)
+        assert got.pitch == pytest.approx(want.pitch, rel=1e-15)
+        scale = np.max(np.abs(want.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("stage, cfg", [
+        (sorter_unwrap, SORTER), (sorter_wrap, SORTER),
+        (multiply_oam, SMALL_BENCH)], ids=["unwrap", "wrap", "multiply"])
+    def test_odd_raster_rejected(self, stage, cfg):
+        with pytest.raises(ValueError, match="even"):
+            stage(random_field(255, seed=1), cfg)
+
 
 class TestFanout:
     CFG = FanoutConfig()
@@ -235,6 +276,11 @@ class TestFanout:
     def test_even_copy_count_rejected(self):
         with pytest.raises(ValueError):
             FanoutConfig(copies=2)
+
+    @pytest.mark.parametrize("field", ["mu", "period"])
+    def test_nonpositive_grating_rejected(self, field):
+        with pytest.raises(ValueError, match="mu and period must be positive"):
+            FanoutConfig(**{field: 0.0})
 
 
 class TestOamSpectrum:
