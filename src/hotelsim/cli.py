@@ -176,7 +176,9 @@ def _check_well_ideal(cfg: dict) -> list:
 
 
 def _check_well_grid(cfg: dict) -> list:
-    v = _not_positive(cfg, "width", "n_modes", "knobs.m", "knobs.dt_steps_per_tau")
+    # every knob is a positive size, count or time (None: a derived default)
+    v = _not_positive(cfg, "width", "n_modes",
+                      *(f"knobs.{key}" for key in cfg["knobs"]))
     m = cfg["knobs"]["m"]
     if isinstance(m, int) and m % 2 == 0:
         v.append(f"knobs.m must be odd so that x=L is a grid point, got {m}")
@@ -186,6 +188,10 @@ def _check_well_grid(cfg: dict) -> list:
     if "compression_times" in cfg and not (isinstance(times, list)
                                            and len(times) >= 2):
         v.append("compression_times needs a list of at least 2 points")
+    elif isinstance(times, list):
+        v += [f"compression_times[{i}] must be positive, got {t!r}"
+              for i, t in enumerate(times)
+              if not (isinstance(t, (int, float)) and t > 0)]
     level, n_modes = cfg["input_level"], cfg["n_modes"]
     if not isinstance(level, int):
         v.append(f"input_level must be an integer, got {level!r}")

@@ -11,8 +11,12 @@ A segment whose features all declare a time-independent potential
 matrix once.  When that potential is also flat, both schemes are diagonal
 in the DST-I basis, so the segment is not stepped at all: each observed
 state, and the end state, is one transform away from the start (a jump
-that keeps each scheme's own dispersion).  An observer may be called on
-every stride-th step only.
+that keeps each scheme's own dispersion).  Every Crank-Nicolson step is
+one zgttrs solve with zgttrf factors.  Under a moving wall alone only the
+rows of the wall's edge change between steps, so a step refactors those
+and reuses the rest, bit for bit the factors of all rows; other varying
+segments refactor all rows.  An observer may be called on every
+stride-th step only.
 """
 
 from __future__ import annotations
@@ -130,6 +134,13 @@ def _raised_cosine(u: float) -> float:
     return 0.5 * (1.0 - math.cos(math.pi * min(max(u, 0.0), 1.0)))
 
 
+# np.tanh is exactly +-1 beyond |z| = 18.9904 (a correctly rounded tanh
+# beyond 27.5 ln 2 = 19.06, where 1 - |tanh| falls under half an ulp of 1),
+# so a MovingWall's potential is exactly 0 (or exactly its height) farther
+# than this many edge widths behind (or ahead of) its position
+_EDGE_WIDTHS = 20.0
+
+
 # Each feature says whether its potential is the same at every u
 # (`constant`); a feature that does not say is taken to vary.  A feature
 # may also offer `on_grid(x)`, the potential on a fixed grid as a function
@@ -208,13 +219,37 @@ class MovingWall:
     edge_width: float
     constant = False
 
+    def __post_init__(self):
+        if not self.edge_width > 0:
+            raise ValueError(
+                f"wall edge_width must be positive, got {self.edge_width!r}")
+
     def position(self, u: float) -> float:
         return self.start_position + (self.stop_position - self.start_position) \
             * _raised_cosine(u)
 
-    def potential(self, x: np.ndarray, u: float) -> np.ndarray:
-        xw = self.position(u)
+    def _profile(self, x, xw):
         return self.height * 0.5 * (1.0 + np.tanh((x - xw) / self.edge_width))
+
+    def potential(self, x: np.ndarray, u: float) -> np.ndarray:
+        return self._profile(x, self.position(u))
+
+    def _edges(self, x: np.ndarray, us):
+        """The edge rows of the wall at each u of us, on the increasing grid x.
+
+        Returns (first, v): first[k] is the first row within _EDGE_WIDTHS
+        edge widths of the wall at us[k], and v[k] the potential on the
+        v.shape[1] rows from there (as many as the widest edge holds, at
+        least one; rows past the grid repeat its last point).  Each value
+        has the bits of `potential`; every row before first[k] holds
+        exactly 0 and every row past the edge exactly `height`.
+        """
+        xw = np.array([self.position(u) for u in us])
+        reach = _EDGE_WIDTHS * self.edge_width
+        first = np.searchsorted(x, xw - reach, side="right")
+        rows = max(int(np.max(np.searchsorted(x, xw + reach) - first)), 1)
+        at = np.minimum(first[:, None] + np.arange(rows), x.size - 1)
+        return first, self._profile(x[at], xw[:, None])
 
 
 @dataclass(frozen=True)
@@ -377,8 +412,8 @@ def propagate(g: GridState, timeline: PotentialTimeline,
                 if k + 1 in marks:
                     observe(k + 1, psi)
         else:
-            psi = _crank_nicolson_segment(psi, g, potential, v, dt, nsteps,
-                                          marks, observe)
+            psi = _crank_nicolson_segment(psi, g, seg, potential, v, dt,
+                                          nsteps, marks, observe)
         t0 += seg.duration
         done += nsteps
         drift = abs(np.sum(np.abs(psi) ** 2) / norm0 - 1.0)
@@ -390,12 +425,15 @@ def propagate(g: GridState, timeline: PotentialTimeline,
     return g.with_samples(psi)
 
 
-def _crank_nicolson_segment(psi, g: GridState, potential, v, dt: float,
-                            nsteps: int, marks, observe):
+def _crank_nicolson_segment(psi, g: GridState, seg: Segment, potential, v,
+                            dt: float, nsteps: int, marks, observe):
     """(1 + aH) psi_next = (1 - aH) psi with a = i dt / (2 hbar), taken as
-    psi_next = 2 (1 + aH)^-1 psi - psi: one tridiagonal solve per step.
-    A constant segment (its potential v given) factors 1 + aH once."""
-    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+    psi_next = 2 (1 + aH)^-1 psi - psi: one zgttrs solve per step with the
+    zgttrf factors of 1 + aH.  A constant segment (its potential v given)
+    factors once.  A segment whose only feature is a MovingWall refactors
+    only the wall's edge rows each step (`_wall_factors`); any other
+    segment refactors all rows."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
     const = g.constants
     kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
     a = 0.5j * dt / const.hbar
@@ -404,23 +442,99 @@ def _crank_nicolson_segment(psi, g: GridState, potential, v, dt: float,
     def diag(pot):
         return 1.0 + a * (2.0 * kin + pot)
 
+    def factor(k):
+        return zgttrf(off, diag(potential((k + 0.5) / nsteps)), off)[:5]
+
     if v is not None:
         lu = zgttrf(off, diag(v), off)[:5]
-
-        def solve(u, b):
-            return zgttrs(*lu, b)[0]
+        steps = (lu for _ in range(nsteps))
+    elif isinstance(seg.feature, MovingWall) and not seg.extra_features:
+        steps = _wall_factors(seg.feature, g.x, diag, off, nsteps, factor)
     else:
-        def solve(u, b):
-            return zgtsv(off, diag(potential(u)), off, b, overwrite_d=1)[3]
+        steps = map(factor, range(nsteps))
 
-    for k in range(nsteps):
-        y = solve((k + 0.5) / nsteps, psi)
+    for k, lu in enumerate(steps):
+        y = zgttrs(*lu, psi)[0]
         y *= 2.0
         y -= psi
         psi = y
         if k + 1 in marks:
             observe(k + 1, psi)
     return psi
+
+
+_CHUNK = 256   # steps whose edge rows _wall_factors builds in one pass
+
+
+def _wall_factors(wall: MovingWall, x, diag, off, nsteps: int, factor):
+    """The zgttrf factors of each step's 1 + aH under a moving wall alone,
+    bit for bit those of a zgttrf over all rows, in arrays that the next
+    step overwrites.
+
+    Elimination runs down the rows, each pivot a function of the pivot
+    above and of its own row's diagonal.  Rows behind the edge hold V = 0
+    exactly, so their factors are those of the free matrix, taken once.
+    A step refactors from the free pivot of the row before the edge (or
+    of the third row from the end, when the edge is nearer) through the
+    edge into a tail as long as the edge, where V = height exactly.  There
+    the pivots settle: once the last two are bitwise equal, every later
+    row repeats them and is filled in.  A step whose refactored rows
+    pivot, or whose tail does not settle, calls `factor(k)` for a
+    factorisation of all rows.
+    """
+    from scipy.linalg.lapack import zgttrf
+    m = x.size
+    # the free matrix is strictly diagonally dominant (|1 + 2a kin| >
+    # 2|a kin| for imaginary a), so its elimination swaps no rows: ipiv
+    # stays the identity and du2 zero
+    behind = diag(np.zeros(m))
+    free = zgttrf(off, behind, off)[:5]
+    dl, d, du, du2, ipiv = (f.copy() for f in free)
+    ahead = diag(wall._profile(np.array([np.inf]), 0.0))[0]
+    clean = m   # rows from here on may hold an earlier step's factors
+    # whether the last tail tried settled; the rate at which pivots settle
+    # is set by the segment (wall height, dt, dx), so after a tail that did
+    # not, steps factor all rows until the edge reaches the grid's end
+    settles = True
+    for start in range(0, nsteps, _CHUNK):
+        ks = range(start, min(start + _CHUNK, nsteps))
+        firsts, edges = wall._edges(x, [(k + 0.5) / nsteps for k in ks])
+        rows = edges.shape[1]
+        # each step's diagonal on the three rows before the edge (scipy's
+        # zgttrf takes no fewer than three rows), the edge and the tail
+        bands = np.full((len(ks), 3 + 2 * rows), ahead)
+        bands[:, :3] = behind[0]
+        bands[:, 3:3 + rows] = diag(edges)
+        for k, first, band in zip(ks, firsts.tolist(), bands):
+            if first >= m:
+                yield free
+                continue
+            end = min(first + 2 * rows, m)
+            top = max(min(first - 1, end - 3), 0)
+            if end - top < 3 or end < m and not settles:
+                yield factor(k)
+                continue
+            if top < first:   # start from the free pivot of the row before
+                band[top - first + 3] = free[1][top]
+            sub_off = off[top:end - 1]
+            sub_dl, sub_d, _, sub_du2, sub_ipiv, _ = zgttrf(
+                sub_off, band[top - first + 3:end - first + 3], sub_off,
+                overwrite_d=1)
+            pivoted = np.count_nonzero(sub_du2) or sub_ipiv[-2] != end - top - 1
+            last_two = sub_d[-2:].tobytes()
+            settles = end == m or last_two[:16] == last_two[16:]
+            if pivoted or not settles:
+                yield factor(k)
+                continue
+            d[end:] = sub_d[-1]
+            dl[end - 1:] = sub_dl[-1]
+            if clean < top:
+                d[clean:top] = free[1][clean:top]
+                dl[clean:top] = free[0][clean:top]
+            clean = top
+            d[top:end] = sub_d
+            dl[top:end - 1] = sub_dl
+            yield dl, d, du, du2, ipiv
 
 
 def carpet(g: GridState, timeline: PotentialTimeline,
@@ -478,6 +592,14 @@ class DynamicKnobs:
     wall_edge_width_dx: float = 1.0   # tanh edge scale, in units of dx
     dt: float | None = None           # default tau / 8000
     m: int = 1023                     # interior points on (0, 2L); odd, so x=L is on-grid
+
+    def __post_init__(self):
+        for name in ("compression_time", "barrier_ramp_time",
+                     "wall_edge_width_dx", "dt", "barrier_height",
+                     "barrier_half_width", "wall_height"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass
@@ -539,6 +661,15 @@ def run_dynamic_protocol(s: SpectralState, knobs: DynamicKnobs,
         warnings.append(
             f"wall_height {wall_height:.3g} below 100*E_max {100 * e_max:.3g}; "
             "expect tunneling leakage")
+    if scheme == "strang-split-sine":
+        for name, height in (("wall_height", wall_height),
+                             ("barrier_height", barrier_height)):
+            wrap = height * dt / const.hbar
+            if wrap > np.pi:
+                warnings.append(
+                    f"{name}*dt/hbar = {wrap:.3g} exceeds pi: the split "
+                    "step's potential phase wraps and the feature turns "
+                    "partly transparent; use crank-nicolson or a smaller dt")
 
     # step i: instantaneous expansion is exact zero padding
     grid0 = GridState(samples=np.zeros(m, dtype=complex), width=2.0 * L,

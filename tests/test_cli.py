@@ -87,6 +87,33 @@ class TestValidate:
         assert any("knobs.m must be odd" in v for v in validate_config(exp, cfg))
 
 
+    @pytest.mark.parametrize("experiment, bad, report", [
+        ("well-dynamic", "knobs.compression_time=0",
+         "knobs.compression_time must be positive"),
+        ("well-dynamic", "knobs.wall_height=-5", "knobs.wall_height must be positive"),
+        ("well-dynamic", "knobs.wall_edge_width_dx=0",
+         "knobs.wall_edge_width_dx must be positive"),
+        ("well-dynamic", "knobs.barrier_height=-1",
+         "knobs.barrier_height must be positive"),
+        ("well-sweep", "knobs.barrier_ramp_time=0",
+         "knobs.barrier_ramp_time must be positive"),
+        ("well-sweep", "knobs.barrier_half_width=-0.1",
+         "knobs.barrier_half_width must be positive"),
+        ("well-sweep", "compression_times=[1.0,-2.0]",
+         "compression_times[1] must be positive, got -2.0"),
+        ("well-sweep", "compression_times=[0,4.0]",
+         "compression_times[0] must be positive, got 0"),
+    ])
+    def test_non_positive_dynamic_knob(self, tmp_path, capsys, experiment,
+                                       bad, report):
+        assert run_cli("validate", experiment, "--set", bad) == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert len(violations) == 1 and violations[0].startswith(report)
+        out = tmp_path / "r"
+        assert run_cli("run", experiment, "--out", str(out), "--set", bad) == 2
+        assert not out.exists()
+
+
 class TestParseState:
     RNG = np.random.default_rng(0)
 

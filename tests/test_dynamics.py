@@ -3,6 +3,7 @@ and the realistic protocol run."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,29 @@ def reference_crank_nicolson(g, seg, nsteps, observer=None):
         ab[1, :] = 1.0 + a * diag
         ab[2, :-1] = a * off
         psi = solve_banded((1, 1), ab, rhs)
+        if observer is not None:
+            observer((k + 1) * dt, g.with_samples(psi))
+    return psi
+
+
+def zgtsv_crank_nicolson(g, seg, nsteps, observer=None):
+    """Crank-Nicolson as the step loop of a varying segment was before it
+    reused factors: every step evaluates the potential and calls zgtsv on
+    all rows, psi_next = 2 (1 + aH)^-1 psi - psi."""
+    from scipy.linalg.lapack import zgtsv
+    const = g.constants
+    kin = const.hbar ** 2 / (2.0 * const.mass * g.dx ** 2)
+    dt = seg.duration / nsteps
+    a = 0.5j * dt / const.hbar
+    off = np.full(g.m - 1, -a * kin)
+    potential = seg.on_grid(g.x)
+    psi = np.array(g.samples)
+    for k in range(nsteps):
+        d = 1.0 + a * (2.0 * kin + potential((k + 0.5) / nsteps))
+        y = zgtsv(off, d, off, psi, overwrite_d=1)[3]
+        y *= 2.0
+        y -= psi
+        psi = y
         if observer is not None:
             observer((k + 1) * dt, g.with_samples(psi))
     return psi
@@ -390,6 +414,131 @@ class TestConstantSegments:
             assert np.array_equal(gs.samples, copy)
 
 
+def wall_grid(m, width=2.0, seed=31):
+    """A random 8-level state of a width-`width` well on m points."""
+    state = random_state(WellGeometry(width), 8, np.random.default_rng(seed))
+    return to_grid(state, m)
+
+
+class TestMovingWallFactors:
+    """A wall-only Crank-Nicolson segment refactors only the wall's edge
+    rows; every step must still give the bits of a zgtsv over all rows."""
+
+    DX = 2.0 / 1024
+
+    @staticmethod
+    def count_full_potentials(monkeypatch):
+        """A list that grows at every evaluation of a MovingWall's potential
+        on all rows, which only a step that falls back makes."""
+        calls = []
+        potential = MovingWall.potential
+
+        def counted(self, x, u):
+            calls.append(u)
+            return potential(self, x, u)
+
+        monkeypatch.setattr(MovingWall, "potential", counted)
+        return calls
+
+    def check_bitwise(self, grid, seg, nsteps, stride=1, calls=()):
+        """Asserts that propagate gives the zgtsv loop's bits, observed
+        states included; returns len(calls) after propagate alone."""
+        seen = []
+        out = propagate(grid, PotentialTimeline([seg]),
+                        PropagatorSettings(dt=seg.duration / nsteps,
+                                           scheme="crank-nicolson"),
+                        observer=lambda t, gs: seen.append((t, gs.samples)),
+                        stride=stride)
+        fell_back = len(calls)
+        ref_seen = []
+        ref = zgtsv_crank_nicolson(
+            grid, seg, nsteps,
+            observer=lambda t, gs: ref_seen.append((t, gs.samples)))
+        assert np.array_equal(out.samples, ref)
+        expected = ref_seen[stride - 1::stride]
+        assert len(seen) == len(expected) == nsteps // stride
+        for (t, psi), (t_ref, psi_ref) in zip(seen, expected):
+            assert t == pytest.approx(t_ref, rel=1e-14)
+            assert np.array_equal(psi, psi_ref)
+        return fell_back
+
+    @pytest.mark.parametrize("case", ["left", "right", "clipped", "stride"])
+    def test_wall_is_bitwise_the_full_solve(self, case, monkeypatch):
+        dx = self.DX
+        m, seg, nsteps, stride = {
+            # the protocol's wall at m=1023, tau/8000, over 0.25 tau
+            "left": (1023, Segment(0.25 * TAU, MovingWall(
+                2.0 + 8 * dx, 1.05, 1e5, dx)), 2000, 1),
+            # moving right, a 3 dx edge, several rows a step: rows that the
+            # edge leaves are free again
+            "right": (127, Segment(0.05 * TAU, MovingWall(
+                0.3, 1.6, 1e4, 3 * 2.0 / 128)), 20, 1),
+            # from beyond the grid's end to near x=0: the edge is cut short
+            # at both ends
+            "clipped": (255, Segment(0.05 * TAU, MovingWall(
+                2.5, 0.02, 1e4, 2.0 / 256)), 400, 1),
+            # from mid-grid: the first step fills the rows ahead
+            "stride": (255, Segment(0.05 * TAU, MovingWall(
+                1.5, 0.5, 1e4, 2.0 / 256)), 400, 7),
+        }[case]
+        calls = self.count_full_potentials(monkeypatch)
+        assert self.check_bitwise(wall_grid(m), seg, nsteps, stride, calls) == 0
+
+    @pytest.mark.parametrize("case", ["wall+offset", "up", "down"])
+    def test_other_varying_segments_are_bitwise_the_full_solve(self, case):
+        seg = {
+            "wall+offset": Segment(0.05 * TAU, MovingWall(2.1, 0.8, 1e4, 0.01),
+                                   extra_features=(UniformOffset(
+                                       3.0, 1.0, 2.0),)),
+            "up": Segment(0.05 * TAU, RampedBarrier(1.0, 0.03, 1e3, "up")),
+            "down": Segment(0.05 * TAU, RampedBarrier(1.0, 0.03, 1e3, "down")),
+        }[case]
+        self.check_bitwise(wall_grid(255), seg, 400)
+
+    @pytest.mark.parametrize("case", ["low", "negative"])
+    def test_fallback_is_bitwise_the_full_solve(self, case, monkeypatch):
+        dx = self.DX
+        if case == "low":
+            # the wall of test_low_wall_warns: its pivots settle too slowly
+            # for the tail
+            e_max = G.omega0() * 8 ** 2
+            wall = MovingWall(2.0 + 8 * dx, 1.0 + 0.5 * dx * np.log(50.0 / e_max),
+                              50.0, dx)
+            nsteps = 200
+        else:
+            # not diagonally dominant: zgttrf interchanges rows at the edge
+            wall = MovingWall(2.0 + 8 * dx, 1.0, -1e5, dx)
+            nsteps = 200
+        calls = self.count_full_potentials(monkeypatch)
+        seg = Segment(nsteps * TAU / 4000.0, wall)
+        assert self.check_bitwise(wall_grid(1023), seg, nsteps, calls=calls) > 0
+
+    def test_edge_rows_are_bitwise_the_potential(self):
+        # np.tanh is exactly +-1 this many edge widths out and beyond
+        z = np.linspace(dynamics._EDGE_WIDTHS, 60.0, 400001)
+        assert np.all(np.tanh(z) == 1.0) and np.all(np.tanh(-z) == -1.0)
+        x = GridState(np.zeros(255), width=2.0).x
+        wall = MovingWall(start_position=2.4, stop_position=-0.3,
+                          height=1e4, edge_width=2.0 / 256)
+        us = [(k + 0.5) / 300 for k in range(300)]
+        firsts, v = wall._edges(x, us)
+        rows = v.shape[1]
+        assert rows >= 40
+        for u, first, edge in zip(us, firsts, v):
+            xw = wall.position(u)
+            full = wall.height * 0.5 * (1.0 + np.tanh((x - xw) / wall.edge_width))
+            assert np.array_equal(wall.potential(x, u), full)
+            inside = full[first:first + rows]
+            assert np.array_equal(edge[:inside.size], inside)
+            assert np.all(full[:first] == 0.0)
+            assert np.all(full[first + rows:] == wall.height)
+
+    @pytest.mark.parametrize("edge_width", [0.0, -0.01])
+    def test_edge_width_must_be_positive(self, edge_width):
+        with pytest.raises(ValueError, match="edge_width"):
+            MovingWall(2.0, 1.0, 1e4, edge_width)
+
+
 class TestFlatSegments:
     """A constant segment with a flat potential is a jump in the DST-I
     basis, in both schemes."""
@@ -567,3 +716,26 @@ class TestDynamicProtocol:
             s, DynamicKnobs(compression_time=10.0, wall_height=50.0,
                             dt=TAU / 4000.0))
         assert report.warnings
+
+    @pytest.mark.parametrize("name", ["compression_time", "barrier_ramp_time",
+                                      "wall_edge_width_dx", "dt",
+                                      "barrier_height", "barrier_half_width",
+                                      "wall_height"])
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_non_positive_knob_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            DynamicKnobs(**{name: bad})
+
+    def test_split_step_phase_wrap_warns(self):
+        s = basis_state(1, G, 4)
+        knobs = DynamicKnobs(compression_time=0.05, dt=TAU / 500.0, m=63)
+        _, report = run_dynamic_protocol(s, knobs, scheme="strang-split-sine")
+        wraps = [w for w in report.warnings if "exceeds pi" in w]
+        assert len(wraps) == 2
+        assert wraps[0].startswith("wall_height*dt/hbar")
+        assert wraps[1].startswith("barrier_height*dt/hbar")
+        _, report = run_dynamic_protocol(s, knobs)
+        assert not [w for w in report.warnings if "exceeds pi" in w]
+        low = replace(knobs, wall_height=1e3, barrier_height=1e2)
+        _, report = run_dynamic_protocol(s, low, scheme="strang-split-sine")
+        assert not [w for w in report.warnings if "exceeds pi" in w]
