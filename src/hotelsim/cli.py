@@ -157,17 +157,22 @@ def validate_config(experiment: str, cfg: dict) -> list:
     return _EXPERIMENTS[experiment].check(cfg)
 
 
-def _not_positive(cfg: dict, *keys: str) -> list:
+def _not_positive(cfg: dict, *keys: str, count: bool = False) -> list:
     """Violations for the keys (dotted paths) that hold anything but a
-    positive number; None, which stands for a derived default, passes."""
+    positive number, or with count=True a positive integer; None, which
+    stands for a derived default, passes."""
+    kinds, what = (int, " and an integer") if count else ((int, float), "")
     values = {key: reduce(getitem, key.split("."), cfg) for key in keys}
-    return [f"{key} must be positive, got {value!r}"
+    return [f"{key} must be positive{what}, got {value!r}"
             for key, value in values.items() if value is not None
-            and not (isinstance(value, (int, float)) and value > 0)]
+            and not (isinstance(value, kinds) and not isinstance(value, bool)
+                     and value > 0)]
 
 
 def _check_well_ideal(cfg: dict) -> list:
-    v = _not_positive(cfg, "width", "p", "n_support", "n_modes", "working_modes")
+    v = (_not_positive(cfg, "width")
+         + _not_positive(cfg, "p", "n_support", "n_modes", "working_modes",
+                         count=True))
     if not v and cfg["n_modes"] is not None and cfg["p"] * cfg["n_support"] > cfg["n_modes"]:
         v.append(
             f"capacity: p*n_support = {cfg['p'] * cfg['n_support']} exceeds "
@@ -177,8 +182,9 @@ def _check_well_ideal(cfg: dict) -> list:
 
 def _check_well_grid(cfg: dict) -> list:
     # every knob is a positive size, count or time (None: a derived default)
-    v = _not_positive(cfg, "width", "n_modes",
-                      *(f"knobs.{key}" for key in cfg["knobs"]))
+    v = (_not_positive(cfg, "width", *(f"knobs.{key}" for key in cfg["knobs"]
+                                       if key != "m"))
+         + _not_positive(cfg, "n_modes", "knobs.m", count=True))
     m = cfg["knobs"]["m"]
     if isinstance(m, int) and m % 2 == 0:
         v.append(f"knobs.m must be odd so that x=L is a grid point, got {m}")
@@ -247,8 +253,8 @@ def _check_oam_petals(cfg: dict) -> list:
 
 
 def _check_carpet(cfg: dict) -> list:
-    v = _not_positive(cfg, "width", "duration_tau", "m", "space_samples",
-                      "dt_steps_per_tau")
+    v = (_not_positive(cfg, "width", "duration_tau", "dt_steps_per_tau")
+         + _not_positive(cfg, "m", "space_samples", count=True))
     levels, m = cfg["levels"], cfg["m"]
     if not (isinstance(levels, list) and levels
             and all(isinstance(n, int) and n >= 1 for n in levels)):
@@ -336,37 +342,37 @@ def _write_amps(out: Path, s: SpectralState) -> None:
                for n, a in enumerate(s.amps)])
 
 
-def _run_well_ideal(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_well_ideal(cfg: dict, out: Path, parallel: int) -> tuple:
     geometry = WellGeometry(cfg["width"])
     rng = np.random.default_rng(cfg["seed"])
     state = parse_state(cfg["input"], geometry, cfg["n_support"], rng,
                         cfg["n_support"])
     pcfg = ProtocolConfig(p=cfg["p"], n_modes=cfg["n_modes"],
                           working_modes=cfg["working_modes"])
-    result, trace = run_ideal_protocol_p(state, pcfg)
+    result, report = run_ideal_protocol_p(state, pcfg)
     fidelity, leakage = oracle_score(result, state, cfg["p"])
     _write_amps(out, result)
-    residuals = trace.copy_residuals
     return {
         "fidelity": fidelity,
         "leakage": leakage,
-        "max_copy_residual": float(max(residuals)) if residuals else 0.0,
+        "max_copy_residual": float(max(report.copy_residuals, default=0.0)),
         "output_modes": result.n_modes,
-    }
+    }, report.warnings
 
 
-def _run_well_dynamic(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_well_dynamic(cfg: dict, out: Path, parallel: int) -> tuple:
     final, report = _grid_protocol(cfg, cfg["knobs"]["compression_time"])
     _write_amps(out, final)
-    return report.to_dict()
+    return report.to_dict(), report.warnings
 
 
 def _sweep_point(cfg: dict, compression_time: float) -> tuple:
     _, report = _grid_protocol(cfg, compression_time)
-    return compression_time, report.fidelity, report.odd_level_leakage
+    return (compression_time, report.fidelity, report.odd_level_leakage,
+            report.warnings)
 
 
-def _run_well_sweep(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_well_sweep(cfg: dict, out: Path, parallel: int) -> tuple:
     times = [float(t) for t in cfg["compression_times"]]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, len(times))) as ex:
@@ -374,21 +380,21 @@ def _run_well_sweep(cfg: dict, out: Path, parallel: int) -> dict:
     else:
         points = [_sweep_point(cfg, t) for t in times]
     write_csv(out / "series" / "sweep.csv",
-              ["compression_time", "fidelity", "odd_level_leakage"], points)
-    fids = [fidelity for _, fidelity, _ in points]
+              ["compression_time", "fidelity", "odd_level_leakage"],
+              [point[:3] for point in points])
+    fids = [fidelity for _, fidelity, _, _ in points]
     return {
         "compression_times": times,
         "fidelities": fids,
         "monotone_increasing": bool(all(b > a for a, b in zip(fids, fids[1:]))),
-    }
+    }, [w for *_, warned in points for w in warned]
 
 
-def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> tuple:
     pipe = _pipeline_from(cfg)
     mode = make_oam_mode(cfg["ell"], pipe.ring, pipe.grid,
                          pipe.sorter.wavelength)
-    diag: dict = {}
-    result = multiply_oam(mode, pipe, diagnostics=diag)
+    result, bench = multiply_oam(mode, pipe)
     spec = oam_spectrum(result, cfg["ell_window"],
                         method=cfg["spectrum_method"], ring=pipe.ring)
     write_csv(out / "series" / "spectrum.csv", ["ell", "fraction"],
@@ -405,21 +411,14 @@ def _run_oam_multiply(cfg: dict, out: Path, parallel: int) -> dict:
         "target_ell": target,
         "target_fraction": spec.fraction(target),
         "far_leakage": far,
-        "output_power": diag["output_power"],
-        **_bench_warnings(diag),
-    }
+        "output_power": bench.step_norms["wrap"],
+    }, bench.warnings
 
 
-def _bench_warnings(diag: dict) -> dict:
-    # the key is there only when the bench warns, as for well-dynamic
-    return {"warnings": [diag["warning"]]} if "warning" in diag else {}
-
-
-def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> tuple:
     pipe = _pipeline_from(cfg)
-    bench: dict = {}
     matrix = crosstalk_matrix(pipe, cfg["ell_in_max"], cfg["ell_out_max"],
-                              method=cfg["spectrum_method"], diagnostics=bench)
+                              method=cfg["spectrum_method"])
     write_csv(out / "series" / "crosstalk.csv",
               ["ell_in"] + [f"out_{int(l)}" for l in matrix.ell_out],
               [[int(li)] + [x for x in row]
@@ -434,21 +433,19 @@ def _run_oam_crosstalk(cfg: dict, out: Path, parallel: int) -> dict:
         "diagonal_at_p_ell": diag_ok,
         "dominant_outputs": [int(d) for d in doms],
         "target_fractions": diag_fracs,
-        **_bench_warnings(bench),
-    }
+    }, matrix.warnings
 
 
-def _run_oam_petals(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_oam_petals(cfg: dict, out: Path, parallel: int) -> tuple:
     pipe = _pipeline_from(cfg)
-    diag: dict = {}
-    report = petal_test(cfg["ell"], pipe, diagnostics=diag)
+    report = petal_test(cfg["ell"], pipe)
     write_csv(out / "series" / "ring_profile.csv",
               ["theta_index", "intensity"],
               list(enumerate(report.ring_profile)))
-    return {**report.to_dict(), **_bench_warnings(diag)}
+    return report.to_dict(), report.warnings
 
 
-def _run_carpet(cfg: dict, out: Path, parallel: int) -> dict:
+def _run_carpet(cfg: dict, out: Path, parallel: int) -> tuple:
     geometry = WellGeometry(cfg["width"])
     amps = np.zeros(max(cfg["levels"]), dtype=complex)
     for n in cfg["levels"]:
@@ -474,7 +471,7 @@ def _run_carpet(cfg: dict, out: Path, parallel: int) -> dict:
         "time_samples": int(cfg["time_samples"]),
         "space_samples": int(density.shape[1]),
         "peak_density": float(density.max()),
-    }
+    }, []
 
 
 # --- the experiment table --------------------------------------------------
@@ -513,11 +510,12 @@ _WELL_GRID = {
 @dataclass(frozen=True)
 class Experiment:
     """One CLI experiment: its default config (which also fixes the keys a
-    config may set), its validator and its runner."""
+    config may set), its validator and its runner.  The runner returns the
+    run's metrics and the warnings its tier reported."""
 
     defaults: dict
     check: Callable[[dict], list]
-    run: Callable[[dict, Path, int], dict]    # (config, out dir, parallel)
+    run: Callable[[dict, Path, int], tuple]    # (config, out dir, parallel)
 
 
 _EXPERIMENTS = {
@@ -605,13 +603,16 @@ def run_experiment(experiment: str, cfg: dict, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     before = _file_stamps(out_dir)
     try:
-        metrics = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
+        metrics, warnings = _EXPERIMENTS[experiment].run(cfg, out_dir, parallel)
     except _NUMERICAL_ERRORS as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         write_json(out_dir / "error.json", error)
         _write_manifest(experiment, cfg, out_dir, before, config_path,
                         {"error": error})
         raise
+    if warnings:
+        # the key is there only when the run warned; each warning once
+        metrics["warnings"] = list(dict.fromkeys(warnings))
     write_json(out_dir / "metrics.json", metrics)
     _write_manifest(experiment, cfg, out_dir, before, config_path,
                     {"metrics": metrics})

@@ -349,8 +349,8 @@ def propagate(g: GridState, timeline: PotentialTimeline,
 
     observer, if given, is called as observer(t, GridState) after every
     stride-th step, the steps counted over the whole timeline (used by
-    carpet sampling and diagnostics).  The potential of a constant
-    segment is evaluated once, at its midpoint.
+    carpet sampling).  The potential of a constant segment is evaluated
+    once, at its midpoint.
 
     When that potential is flat (v0 everywhere), a step of either scheme
     multiplies DST-I mode k by exp(i angle_k), so the segment is a jump:
@@ -604,17 +604,20 @@ class DynamicKnobs:
 
 @dataclass
 class FidelityReport:
+    """The run's score, and what each stage left: the norm after it, by
+    label in run order (the ideal pipeline's six, then project)."""
+
     fidelity: float
     odd_level_leakage: float
     step_norms: dict
     warnings: list
 
     def to_dict(self) -> dict:
+        """The figures, without the warnings."""
         return {
             "fidelity": self.fidelity,
             "odd_level_leakage": self.odd_level_leakage,
             "step_norms": {k: float(v) for k, v in self.step_norms.items()},
-            "warnings": list(self.warnings),
         }
 
 

@@ -78,6 +78,8 @@ def read_raster(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError("not an HSIM raster file")
+    if len(raw) < 16:
+        raise ValueError("truncated HSIM raster header")
     rows, cols, flags = struct.unpack("<III", raw[4:16])
     body = np.frombuffer(raw, dtype="<f8", offset=16)
     if flags & _FLAG_COMPLEX:

@@ -10,7 +10,7 @@ beam closes on itself with p times the original winding.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -23,6 +23,7 @@ from .optics import (Field2D, FanoutConfig, GridSpec, RingSpec,
 
 __all__ = [
     "MultiplierPipelineConfig",
+    "BenchReport",
     "CrosstalkMatrix",
     "PetalReport",
     "AmbiguousHarmonicError",
@@ -92,22 +93,30 @@ def _power(w: np.ndarray, pitch: float) -> float:
     return float(np.sum(np.einsum("ij,ij->i", re_im, re_im)) * pitch ** 2)
 
 
+@dataclass(frozen=True)
+class BenchReport:
+    """What each bench stage left: the power after it, by label in run
+    order (unwrap, fan-out, wrap), and the share of the input power off
+    the sorter's design annulus."""
+
+    step_norms: dict
+    outside_annulus_fraction: float
+    warnings: list
+
+
 def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
-                 correct_phases: bool = True,
-                 diagnostics: dict | None = None) -> Field2D:
+                 correct_phases: bool = True) -> tuple[Field2D, BenchReport]:
     """Map sum c_l |l> to sum c_l |p l>; linear in the input field.
 
     Stages: unwrap -> Fourier to the grating plane -> fan-out phase ->
     back to the image plane -> per-copy phase correction -> exact 1/p
-    row squeeze -> wrap.  `diagnostics`, if supplied, collects per-stage
-    power bookkeeping; set correct_phases=False to study the degraded
+    row squeeze -> wrap.  Returns the output field and the bench's power
+    bookkeeping; set correct_phases=False to study the degraded
     uncorrected bench.  The input raster must have an even size.
 
     One working raster goes through the whole bench.  Each sorter mask is
     built once, and the wrap multiplies by its conjugate.
     """
-    if diagnostics is None:
-        diagnostics = {}
     s = cfg.sorter
     n, mid, dx = e.n, e.n // 2, e.pitch
     # the strided 1-D transforms scale with workers; fft2 gains nothing.
@@ -119,19 +128,17 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     mask1, far = _sorter_mask1(n, dx, s)
     intensity = np.abs(e.samples) ** 2
     total = np.sum(intensity)
-    outside = np.sum(intensity[far]) / total if total else 0.0
-    diagnostics["outside_annulus_fraction"] = float(outside)
-    if outside > 0.05:
-        diagnostics["warning"] = (
-            "more than 5% of the input power lies outside the design "
-            "annulus; the log-polar map is inaccurate there")
+    outside = float(np.sum(intensity[far]) / total) if total else 0.0
+    warnings = ["more than 5% of the input power lies outside the design "
+                "annulus; the log-polar map is inaccurate there"
+                ] if outside > 0.05 else []
     del intensity, far
     # fft2 as its two axis passes, in its order: they scale with workers
     w = fft(e.samples * mask1, axis=0, overwrite_x=True, workers=workers)
     w = fft(w, axis=1, overwrite_x=True, workers=workers)
     mask2 = _sorter_mask2(n, s.wavelength * s.f / (n * dx), s)
     w *= mask2
-    diagnostics["strip_power"] = _power(w, dx / n)
+    powers = {"unwrap": _power(w, dx / n)}
 
     # the grating plane has the input pitch, and the grating varies along
     # y only: of the two lenses around it only the y transforms act
@@ -154,8 +161,7 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     w[kept] = w[mid + src] * row_scale[:, None]
     w[:kept.start] = 0.0
     w[kept.stop:] = 0.0
-    diagnostics["copies_power"] = _power(w[mid - k // 2:mid + k // 2 + 1],
-                                         dx / n)
+    powers["fan-out"] = _power(w[mid - k // 2:mid + k // 2 + 1], dx / n)
 
     # wrap; only the kept rows are nonzero until the y transform
     w[kept] = ifft(w[kept] * np.conjugate(mask2[kept]), axis=1,
@@ -164,8 +170,9 @@ def multiply_oam(e: Field2D, cfg: MultiplierPipelineConfig,
     w = ifft(w, axis=0, overwrite_x=True, workers=workers)
     w *= np.conjugate(mask1, out=mask1)
     del mask1
-    diagnostics["output_power"] = _power(w, dx)
-    return Field2D(samples=w, pitch=dx, wavelength=e.wavelength)
+    powers["wrap"] = _power(w, dx)
+    return (Field2D(samples=w, pitch=dx, wavelength=e.wavelength),
+            BenchReport(powers, outside, warnings))
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,7 @@ class CrosstalkMatrix:
     ell_in: np.ndarray
     ell_out: np.ndarray
     entries: np.ndarray     # shape (len(ell_in), len(ell_out))
+    warnings: list = field(default_factory=list)   # the bench's, all rows
 
     def __post_init__(self):
         object.__setattr__(self, "ell_in", np.asarray(self.ell_in, dtype=int))
@@ -200,24 +208,24 @@ class CrosstalkMatrix:
 
 def crosstalk_matrix(cfg: MultiplierPipelineConfig, ell_in_max: int = 3,
                      ell_out_max: int | None = None,
-                     method: str = "azimuthal-decomposition",
-                     diagnostics: dict | None = None) -> CrosstalkMatrix:
+                     method: str = "azimuthal-decomposition") -> CrosstalkMatrix:
     """Run each input eigenmode through the bench and record its output
-    spectrum row by row.  `diagnostics` goes to multiply_oam for every row:
-    it ends with the last row's figures, and a warning if any row warned."""
+    spectrum row by row, with every row's bench warning once."""
     if ell_out_max is None:
         ell_out_max = cfg.p * ell_in_max + 6
     ells_in = np.arange(-ell_in_max, ell_in_max + 1)
-    rows = []
+    rows, warnings = [], []
     for ell in ells_in:
         mode = make_oam_mode(int(ell), cfg.ring, cfg.grid,
                              cfg.sorter.wavelength)
-        out = multiply_oam(mode, cfg, diagnostics=diagnostics)
+        out, bench = multiply_oam(mode, cfg)
         spec = oam_spectrum(out, ell_out_max, method=method, ring=cfg.ring)
         rows.append(spec.fractions)
+        warnings += bench.warnings
     return CrosstalkMatrix(ell_in=ells_in,
                            ell_out=np.arange(-ell_out_max, ell_out_max + 1),
-                           entries=np.vstack(rows))
+                           entries=np.vstack(rows),
+                           warnings=list(dict.fromkeys(warnings)))
 
 
 @dataclass(frozen=True)
@@ -227,6 +235,7 @@ class PetalReport:
     visibility: float
     ring_profile: np.ndarray   # output intensity along the analysis ring
     ring_radius: float
+    warnings: list             # the bench's
 
     def to_dict(self) -> dict:
         return {
@@ -276,19 +285,18 @@ def _petal_input(ell: int, cfg: MultiplierPipelineConfig) -> Field2D:
                    wavelength=cfg.sorter.wavelength)
 
 
-def petal_test(ell: int, cfg: MultiplierPipelineConfig,
-               diagnostics: dict | None = None) -> PetalReport:
+def petal_test(ell: int, cfg: MultiplierPipelineConfig) -> PetalReport:
     """Coherence witness: feed (|l> + |-l>)/sqrt(2) through the bench.
 
     The input shows 2|l| intensity petals; a coherent multiplier yields
-    2 p |l| petals with high visibility.  `diagnostics` goes to multiply_oam.
+    2 p |l| petals with high visibility.
     """
     if ell < 1:
         raise ValueError("petal test needs a positive charge")
     sup = _petal_input(ell, cfg)
     petals_in, _, _, _ = _count_petals(sup, 2 * ell)
-    out = multiply_oam(sup, cfg, diagnostics=diagnostics)
+    out, bench = multiply_oam(sup, cfg)
     petals_out, vis, profile, radius = _count_petals(out, 2 * cfg.p * ell)
     return PetalReport(petals_in=petals_in, petals_out=petals_out,
                        visibility=vis, ring_profile=profile,
-                       ring_radius=radius)
+                       ring_radius=radius, warnings=bench.warnings)

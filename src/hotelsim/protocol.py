@@ -18,7 +18,6 @@ a residual tolerance rather than taken from any closed form.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,7 +34,7 @@ from .well import (
 
 __all__ = [
     "ProtocolConfig",
-    "ProtocolTrace",
+    "ProtocolReport",
     "NodeConditionError",
     "CopyFitError",
     "hotel_multiply_oracle",
@@ -82,29 +81,19 @@ class ProtocolConfig:
 
 
 @dataclass
-class TraceStep:
-    label: str
-    norm_captured: float
-    elapsed_s: float
-    extra: dict = field(default_factory=dict)
+class ProtocolReport:
+    """What each stage left: the norm after it, by label in run order.
 
+    The copy fit of the phase stage gives one coefficient and one
+    residual per sub-well; a p = 1 run has no stages but compress and
+    empty fit arrays.
+    """
 
-@dataclass
-class ProtocolTrace:
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def add(self, label: str, t0: float, *states: SpectralState, **extra):
-        """Record a step begun at t0; its norm sums the states it produced."""
-        self.steps.append(TraceStep(
-            label=label, norm_captured=_norm_sq(*states),
-            elapsed_s=time.perf_counter() - t0, extra=extra))
-
-    @property
-    def copy_residuals(self) -> list[float]:
-        for s in self.steps:
-            if "copy_residuals" in s.extra:
-                return [float(r) for r in s.extra["copy_residuals"]]
-        return []
+    step_norms: dict
+    copy_coefficients: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=complex))
+    copy_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    warnings: list = field(default_factory=list)
 
 
 def _norm_sq(*states: SpectralState) -> float:
@@ -308,7 +297,7 @@ def _fit_copy_phases(parts: list[SpectralState], reference: np.ndarray,
     return coeffs, residuals
 
 
-def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[SpectralState, ProtocolTrace]:
+def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[SpectralState, ProtocolReport]:
     """Full ideal pipeline for multiplication by cfg.p.
 
     Steps: expand to width p*L; evolve to the p-copy fractional revival at
@@ -319,66 +308,44 @@ def run_ideal_protocol_p(s: SpectralState, cfg: ProtocolConfig) -> tuple[Spectra
     """
     require_normalizable(s)
     p = cfg.p
-    trace = ProtocolTrace()
     if p == 1:
-        t0 = time.perf_counter()
         out = fix_global_phase(s)
-        trace.add("compress", t0, out)
-        return out, trace
+        return out, ProtocolReport({"compress": _norm_sq(out)})
     g = s.geometry
     n_out = cfg.n_modes if cfg.n_modes is not None else p * s.n_modes
     n_work = cfg.working_modes if cfg.working_modes is not None else 4 * p * s.n_modes
     n_work = max(n_work, n_out)
     big = WellGeometry(width=p * g.width, origin=g.origin)
     tau = 2.0 * np.pi / g.omega0(s.constants)
+    norms = {}
 
-    t0 = time.perf_counter()
     expanded = rebase(s, big, n_work)
-    trace.add("expand", t0, expanded)
-
-    t0 = time.perf_counter()
+    norms["expand"] = _norm_sq(expanded)
     evolved = free_evolve(expanded, p * tau / 2.0)
-    trace.add("mirror-evolve", t0, evolved, time=p * tau / 2.0)
-
-    t0 = time.perf_counter()
+    norms["mirror-evolve"] = _norm_sq(evolved)
     parts = split_at_nodes(evolved, p, n_modes=s.n_modes)
-    trace.add("split", t0, *parts, part_norms=[_norm_sq(q) for q in parts])
+    norms["split"] = _norm_sq(*parts)
 
     # Constant phase per sub-well: rotate copy j onto (-1)^j / sqrt(p).
     # The copy-fit residual cannot beat the norm lost when the expanded
     # basis was truncated, so the guard tolerance is floored at that tail.
-    t0 = time.perf_counter()
     expand_tail = float(np.sqrt(max(
         0.0, np.sum(np.abs(s.amps) ** 2) - np.sum(np.abs(expanded.amps) ** 2))))
     fit_tol = max(COPY_RESIDUAL_TOL, 10.0 * expand_tail)
-    pattern = _copy_pattern(p)
-    coeffs, residuals = _fit_copy_phases(parts, s.amps, pattern, fit_tol)
-    phased = []
-    offsets = []
-    for j, part in enumerate(parts):
-        target_phase = (-1.0) ** j
-        rot = target_phase * np.conj(coeffs[j]) / abs(coeffs[j])
-        # equivalent uniform potential, V = -arg(rot) hbar / tau
-        offsets.append(float(-np.angle(rot) * s.constants.hbar / tau))
-        phased.append(part.with_amps(part.amps * rot))
-    trace.add("phase", t0, *phased, copy_coefficients=list(coeffs),
-              copy_residuals=list(residuals), potential_offsets=offsets,
-              pattern=pattern)
-    phased_norm = trace.steps[-1].norm_captured
+    coeffs, residuals = _fit_copy_phases(parts, s.amps, _copy_pattern(p), fit_tol)
+    phased = [part.with_amps(part.amps * ((-1.0) ** j * np.conj(c) / abs(c)))
+              for j, (part, c) in enumerate(zip(parts, coeffs))]
+    norms["phase"] = _norm_sq(*phased)
 
     # The merge lands in the output basis: compression keeps levels 1..n_out
     # only, and the odd-p parity fix is diagonal, so it commutes with that cut.
-    t0 = time.perf_counter()
     merged = merge_halves(*phased, n_modes=n_out)
     if p % 2 == 1:
         # mirrored-first copy pattern: half a revival of the expanded well
         # applies the parity operator and restores the direct ordering
         merged = free_evolve(merged, 0.5 * 2.0 * np.pi / big.omega0(s.constants))
-    trace.add("merge", t0, merged)
+    norms["merge"] = _norm_sq(merged)
 
-    t0 = time.perf_counter()
     out = adiabatic_retag(merged, g)
-    # the norm the output does not hold: lost by the merge's truncation
-    trace.add("compress", t0, out, truncated_norm=phased_norm - _norm_sq(out))
-    return out, trace
-
+    norms["compress"] = _norm_sq(out)
+    return out, ProtocolReport(norms, coeffs, residuals)

@@ -87,13 +87,13 @@ def test_ac4_general_p3_pipeline(capsys):
     worst_fid, worst_res = 1.0, 0.0
     for _ in range(20):
         s = random_state(G, 8, rng)
-        out, trace = run_ideal_protocol_p(
+        out, record = run_ideal_protocol_p(
             s, ProtocolConfig(p=3, working_modes=12288))
         oracle = hotel_multiply_oracle(s, 3)
         k = min(out.n_modes, oracle.n_modes)
         fid = abs(np.vdot(oracle.amps[:k], out.amps[:k])) ** 2
         worst_fid = min(worst_fid, fid)
-        worst_res = max(worst_res, max(trace.copy_residuals))
+        worst_res = max(worst_res, max(record.copy_residuals))
     elapsed = time.perf_counter() - t0
     assert worst_fid >= 1.0 - 1e-8
     assert worst_res < 1e-8
@@ -201,7 +201,7 @@ def test_ac9_coherence_petals(capsys):
     plus = make_oam_mode(3, BENCH.ring, BENCH.grid, BENCH.sorter.wavelength)
     minus = make_oam_mode(-3, BENCH.ring, BENCH.grid, BENCH.sorter.wavelength)
     sup = plus.with_samples((plus.samples + minus.samples) / np.sqrt(2.0))
-    spec = oam_spectrum(multiply_oam(sup, BENCH), 12, method="projective",
+    spec = oam_spectrum(multiply_oam(sup, BENCH)[0], 12, method="projective",
                         ring=BENCH.ring)
     top2 = set(int(l) for l in
                spec.ells[np.argsort(spec.fractions)[::-1][:2]])

@@ -21,6 +21,8 @@ from hotelsim.cli import (ConfigError, load_config, main, parse_state,
                           resolve_config, validate_config)
 from hotelsim.dynamics import PropagationError
 from hotelsim.io import read_raster, write_json, write_raster
+from hotelsim.multiplier import multiply_oam
+from hotelsim.optics import make_oam_mode
 from hotelsim.well import WellGeometry
 
 G = WellGeometry(1.0)
@@ -186,6 +188,27 @@ class TestCommands:
         assert run_cli("run", "carpet", "--out", str(tmp_path / "r"),
                        "--set", bad) == 2
 
+    @pytest.mark.parametrize("experiment, sets, report", [
+        ("well-ideal", ["n_support=8.0"], "n_support"),
+        ("well-ideal", ["working_modes=512.5"], "working_modes"),
+        ("well-ideal", ["n_modes=16.0"], "n_modes"),
+        ("well-ideal", ["p=true"], "p"),
+        ("well-dynamic", ["knobs.m=1023.0"], "knobs.m"),
+        ("well-sweep", ["n_modes=true"], "n_modes"),
+        ("carpet", ["m=127.0"], "m"),
+        ("carpet", ["m=127", "space_samples=64.5"], "space_samples"),
+    ])
+    def test_count_must_be_an_integer(self, tmp_path, capsys, experiment,
+                                      sets, report):
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("validate", experiment, *args) == 0
+        violations = yaml.safe_load(capsys.readouterr().out)["violations"]
+        assert [v for v in violations
+                if v.startswith(f"{report} must be positive and an integer")]
+        out = tmp_path / "r"
+        assert run_cli("run", experiment, "--out", str(out), *args) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["abc", "-1", "2.7", "true", "[3]"])
     def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
         assert run_cli("validate", "well-ideal", "--set", f"seed={seed}") == 2
@@ -350,6 +373,39 @@ class TestRunArtifacts:
         assert run_cli("run", "oam-multiply", "--out", str(out),
                        "--set", "grid_n=512", "--set", "pitch=4e-5") == 0
         assert "warnings" not in json.loads((out / "metrics.json").read_text())
+
+    def test_output_power_is_the_bench_wrap_power(self, tmp_path):
+        out = tmp_path / "r"
+        sets = {"grid_n": 512, "pitch": 4e-5}
+        assert run_cli("run", "oam-multiply", "--out", str(out),
+                       *(arg for key, value in sets.items()
+                         for arg in ("--set", f"{key}={value}"))) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        _, cfg = resolve_config({"experiment": "oam-multiply", **sets})
+        pipe = cli._pipeline_from(cfg)
+        mode = make_oam_mode(cfg["ell"], pipe.ring, pipe.grid,
+                             pipe.sorter.wavelength)
+        _, bench = multiply_oam(mode, pipe)
+        assert metrics["output_power"] == bench.step_norms["wrap"]
+
+    def test_clean_well_dynamic_run_has_no_warnings_key(self, tmp_path):
+        out = tmp_path / "r"
+        assert run_cli("run", "well-dynamic", "--out", str(out),
+                       "--set", "knobs.m=255",
+                       "--set", "knobs.compression_time=2") == 0
+        assert "warnings" not in json.loads((out / "metrics.json").read_text())
+
+    def test_sweep_carries_its_points_warnings(self, tmp_path):
+        # both points warn alike; the metrics hold the warning once
+        out = tmp_path / "r"
+        assert run_cli("run", "well-sweep", "--out", str(out),
+                       "--set", "knobs.m=127", "--set", "knobs.wall_height=50",
+                       "--set", "compression_times=[0.5, 1.0]") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["warnings"] == [
+            "wall_height 50 below 100*E_max 3.16e+04; expect tunneling leakage"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"] == metrics
 
     @pytest.mark.parametrize("experiment, sets", [
         ("oam-petals", ["ell=1"]), ("oam-crosstalk", ["ell_in_max=1"])])
@@ -591,6 +647,13 @@ class TestRasterContainer:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ValueError):
+            read_raster(p)
+
+    @pytest.mark.parametrize("size", [0, 8, 11])
+    def test_truncated_header(self, tmp_path, size):
+        p = tmp_path / "short.bin"
+        p.write_bytes(b"HSIM" + b"\x00" * size)
+        with pytest.raises(ValueError, match="truncated"):
             read_raster(p)
 
     def test_rejects_non_2d(self, tmp_path):

@@ -11,6 +11,7 @@ from scipy.fft import dst
 from scipy.linalg import solve_banded
 
 from hotelsim.well import WellGeometry, basis_state, free_evolve, random_state
+from hotelsim.protocol import ProtocolConfig, run_ideal_protocol_p
 from hotelsim import dynamics
 from hotelsim.dynamics import (SCHEMES, DynamicKnobs, FreeFlight, GridState,
                                MovingWall, PotentialTimeline,
@@ -699,6 +700,17 @@ class TestDynamicProtocol:
                       "compress", "project"):
             assert label in report.step_norms
         assert report.step_norms["compress"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_stages_are_the_ideal_pipeline_stages(self):
+        # the grid report names the ideal report's six stages in its order,
+        # then the projection onto the width-L basis
+        s = basis_state(1, G, 2)
+        _, ideal = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=512))
+        _, grid = run_dynamic_protocol(
+            s, DynamicKnobs(m=255, compression_time=2.0))
+        assert list(ideal.step_norms) == [
+            "expand", "mirror-evolve", "split", "phase", "merge", "compress"]
+        assert list(grid.step_norms) == [*ideal.step_norms, "project"]
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_unnormalizable_input_rejected(self, bad):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from hotelsim.multiplier import (AmbiguousHarmonicError, CrosstalkMatrix,
-                                 MultiplierPipelineConfig, _count_petals,
+from hotelsim.multiplier import (AmbiguousHarmonicError, BenchReport,
+                                 CrosstalkMatrix, MultiplierPipelineConfig,
+                                 _count_petals,
                                  _petal_input, crosstalk_matrix, multiply_oam,
                                  petal_test)
 from hotelsim.optics import (GridSpec, RingSpec, fanout_grating_phase,
@@ -20,13 +21,12 @@ def bench_mode(ell, cfg=CFG):
     return make_oam_mode(ell, cfg.ring, cfg.grid, cfg.sorter.wavelength)
 
 
-def reference_multiply_oam(e, cfg, correct_phases=True, diagnostics=None):
+def reference_multiply_oam(e, cfg, correct_phases=True):
     """The bench stage by stage, as multiply_oam ran before it became one
     pass: full meshgrids, both sorter masks built again for the wrap, a
     fresh raster per stage and shifted FFTs.  The one-pass multiply_oam
-    must match it."""
-    if diagnostics is None:
-        diagnostics = {}
+    must match it, field and report."""
+    powers = {}
     s = cfg.sorter
 
     def grid(f):
@@ -52,11 +52,10 @@ def reference_multiply_oam(e, cfg, correct_phases=True, diagnostics=None):
         logr = np.log(np.where(r > 0, r / s.b, np.inf))
     outside = np.abs(logr) > 0.7
     total = np.sum(np.abs(e.samples) ** 2)
-    diagnostics["outside_annulus_fraction"] = (
+    outside_fraction = (
         0.0 if total == 0 else
         float(np.sum(np.abs(e.samples[outside]) ** 2) / total))
-    if diagnostics["outside_annulus_fraction"] > 0.05:
-        diagnostics["warning"] = "off the design annulus"
+    warnings = ["off the design annulus"] if outside_fraction > 0.05 else []
 
     lensed = fourier_lens(e.with_samples(e.samples * mask1(e, 1)), s.f)
     strip = lensed.with_samples(lensed.samples * mask2(lensed, 1))
@@ -65,7 +64,7 @@ def reference_multiply_oam(e, cfg, correct_phases=True, diagnostics=None):
     grating = np.exp(1j * fanout_grating_phase(yf, cfg.fanout))
     image = inverse_fourier_lens(far.with_samples(far.samples * grating),
                                  cfg.sorter.f)
-    diagnostics["strip_power"] = strip.power()
+    powers["unwrap"] = strip.power()
 
     n = image.n
     mid = n // 2
@@ -82,15 +81,15 @@ def reference_multiply_oam(e, cfg, correct_phases=True, diagnostics=None):
     squeezed = np.zeros_like(samples)
     j_out = np.arange(-(mid // cfg.p), (n - 1 - mid) // cfg.p + 1)
     squeezed[mid + j_out, :] = np.sqrt(cfg.p) * samples[mid + cfg.p * j_out, :]
-    diagnostics["copies_power"] = float(
+    powers["fan-out"] = float(
         np.sum(np.abs(squeezed[np.abs(rows) <= k // 2, :]) ** 2)
         * image.pitch ** 2)
 
     undo2 = image.with_samples(squeezed * mask2(image, -1))
     back = inverse_fourier_lens(undo2, s.f)
     out = back.with_samples(back.samples * mask1(back, -1))
-    diagnostics["output_power"] = out.power()
-    return out
+    powers["wrap"] = out.power()
+    return out, BenchReport(powers, outside_fraction, warnings)
 
 
 class TestDesign:
@@ -121,13 +120,13 @@ class TestDesign:
 
 class TestMultiplication:
     def test_charge_one_triples(self):
-        out = multiply_oam(bench_mode(1), CFG)
+        out, _ = multiply_oam(bench_mode(1), CFG)
         spec = oam_spectrum(out, 6, method="projective", ring=CFG.ring)
         assert spec.dominant() == 3
         assert spec.fraction(3) > 0.5
 
     def test_zero_charge_is_a_fixed_point(self):
-        out = multiply_oam(bench_mode(0), CFG)
+        out, _ = multiply_oam(bench_mode(0), CFG)
         spec = oam_spectrum(out, 4, method="projective", ring=CFG.ring)
         assert spec.dominant() == 0
 
@@ -135,42 +134,38 @@ class TestMultiplication:
         e1, e2 = bench_mode(1), bench_mode(2)
         al, be = 0.6, 0.8j
         mixed = e1.with_samples(al * e1.samples + be * e2.samples)
-        out_mix = multiply_oam(mixed, CFG)
-        out_sep = al * multiply_oam(e1, CFG).samples \
-            + be * multiply_oam(e2, CFG).samples
+        out_mix, _ = multiply_oam(mixed, CFG)
+        out_sep = al * multiply_oam(e1, CFG)[0].samples \
+            + be * multiply_oam(e2, CFG)[0].samples
         scale = np.max(np.abs(out_sep))
         assert np.max(np.abs(out_mix.samples - out_sep)) / scale < 1e-10
 
     def test_phase_correction_matters(self):
-        spec_on = oam_spectrum(multiply_oam(bench_mode(1), CFG), 6,
+        spec_on = oam_spectrum(multiply_oam(bench_mode(1), CFG)[0], 6,
                                method="projective", ring=CFG.ring)
         spec_off = oam_spectrum(
-            multiply_oam(bench_mode(1), CFG, correct_phases=False), 6,
+            multiply_oam(bench_mode(1), CFG, correct_phases=False)[0], 6,
             method="projective", ring=CFG.ring)
         assert spec_on.fraction(3) > spec_off.fraction(3)
 
     def test_opposite_outputs_stay_orthogonal(self):
-        plus = multiply_oam(bench_mode(1), CFG)
-        minus = multiply_oam(bench_mode(-1), CFG)
+        plus, _ = multiply_oam(bench_mode(1), CFG)
+        minus, _ = multiply_oam(bench_mode(-1), CFG)
         assert abs(field_overlap(plus, minus)) ** 2 < 1e-2
 
-    def test_diagnostics_bookkeeping(self):
-        diag = {}
-        multiply_oam(bench_mode(1), CFG, diagnostics=diag)
-        for key in ("outside_annulus_fraction", "strip_power", "copies_power",
-                    "output_power"):
-            assert key in diag
-        assert diag["outside_annulus_fraction"] < 0.05
-        assert "warning" not in diag
-        assert diag["strip_power"] == pytest.approx(1.0, abs=1e-6)
+    def test_report_bookkeeping(self):
+        _, report = multiply_oam(bench_mode(1), CFG)
+        assert list(report.step_norms) == ["unwrap", "fan-out", "wrap"]
+        assert report.outside_annulus_fraction < 0.05
+        assert report.warnings == []
+        assert report.step_norms["unwrap"] == pytest.approx(1.0, abs=1e-6)
 
     def test_off_annulus_input_warns(self):
         bad_ring = RingSpec(radius=CFG.sorter.b / 4.0, width=CFG.ring.width)
         e = make_oam_mode(1, bad_ring, CFG.grid, CFG.sorter.wavelength)
-        diag = {}
-        multiply_oam(e, CFG, diagnostics=diag)
-        assert diag["outside_annulus_fraction"] > 0.05
-        assert "warning" in diag
+        _, report = multiply_oam(e, CFG)
+        assert report.outside_annulus_fraction > 0.05
+        assert len(report.warnings) == 1
 
 
 class TestOnePassBench:
@@ -181,36 +176,37 @@ class TestOnePassBench:
     def test_matches_stage_by_stage_reference(self, ell, correct_phases):
         e = bench_mode(ell)
         before = e.samples.copy()
-        diag, ref_diag = {}, {}
-        out = multiply_oam(e, CFG, correct_phases, diagnostics=diag)
-        ref = reference_multiply_oam(e, CFG, correct_phases, ref_diag)
+        out, report = multiply_oam(e, CFG, correct_phases)
+        ref, ref_report = reference_multiply_oam(e, CFG, correct_phases)
         assert np.array_equal(e.samples, before)
         assert out.pitch == pytest.approx(ref.pitch, rel=1e-15)
         scale = np.max(np.abs(ref.samples))
         assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12 * scale
-        assert diag.keys() == ref_diag.keys()
-        for key in diag:
-            assert abs(diag[key] - ref_diag[key]) <= 1e-12
+        assert list(report.step_norms) == list(ref_report.step_norms)
+        for key in report.step_norms:
+            assert abs(report.step_norms[key]
+                       - ref_report.step_norms[key]) <= 1e-12
+        assert abs(report.outside_annulus_fraction
+                   - ref_report.outside_annulus_fraction) <= 1e-12
+        assert report.warnings == ref_report.warnings == []
 
     def test_off_annulus_input_warns_on_both_paths(self):
         bad_ring = RingSpec(radius=CFG.sorter.b / 4.0, width=CFG.ring.width)
         e = make_oam_mode(1, bad_ring, CFG.grid, CFG.sorter.wavelength)
-        diag, ref_diag = {}, {}
-        out = multiply_oam(e, CFG, diagnostics=diag)
-        ref = reference_multiply_oam(e, CFG, diagnostics=ref_diag)
-        assert "warning" in diag and "warning" in ref_diag
-        assert abs(diag["outside_annulus_fraction"]
-                   - ref_diag["outside_annulus_fraction"]) <= 1e-12
+        out, report = multiply_oam(e, CFG)
+        ref, ref_report = reference_multiply_oam(e, CFG)
+        assert report.warnings and ref_report.warnings
+        assert abs(report.outside_annulus_fraction
+                   - ref_report.outside_annulus_fraction) <= 1e-12
         scale = np.max(np.abs(ref.samples))
         assert np.max(np.abs(out.samples - ref.samples)) <= 1e-12 * scale
 
     def test_repeat_call_is_byte_identical(self):
         e = bench_mode(1)
-        diag, again = {}, {}
-        first = multiply_oam(e, CFG, diagnostics=diag).samples
-        second = multiply_oam(e, CFG, diagnostics=again).samples
-        assert first.tobytes() == second.tobytes()
-        assert diag == again
+        first, report = multiply_oam(e, CFG)
+        second, again = multiply_oam(e, CFG)
+        assert first.samples.tobytes() == second.samples.tobytes()
+        assert report == again
 
     def test_odd_raster_rejected(self):
         e = bench_mode(1)
@@ -253,6 +249,7 @@ class TestCrosstalk:
     def test_rows_map_to_tripled_charges(self):
         m = crosstalk_matrix(CFG, ell_in_max=1)
         assert list(m.dominant_outputs()) == [-3, 0, 3]
+        assert m.warnings == []
 
     def test_charge_reversal_symmetry(self):
         m = crosstalk_matrix(CFG, ell_in_max=1)
@@ -280,6 +277,7 @@ class TestPetals:
         assert rep.petals_in == 2
         assert rep.petals_out == 6
         assert rep.visibility > 0.9
+        assert rep.warnings == []
 
     def test_two_equal_harmonics_are_ambiguous(self):
         e = bench_mode(0)

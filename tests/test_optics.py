@@ -359,8 +359,8 @@ class TestProjectiveSpectrum:
 
     def test_multiplier_output_matches_per_charge_overlaps(self):
         cfg = SMALL_BENCH
-        out = multiply_oam(make_oam_mode(-2, cfg.ring, cfg.grid,
-                                         cfg.sorter.wavelength), cfg)
+        out, _ = multiply_oam(make_oam_mode(-2, cfg.ring, cfg.grid,
+                                            cfg.sorter.wavelength), cfg)
         self.assert_matches_reference(self.unit_power(out), 9, cfg.ring)
 
     def test_zero_window(self):
@@ -432,9 +432,10 @@ class TestSideBySide:
         if case == "random-256":
             e = random_field(256, seed=5)
         else:
-            e = multiply_oam(make_oam_mode(2, SMALL_BENCH.ring, SMALL_BENCH.grid,
-                                           SMALL_BENCH.sorter.wavelength),
-                             SMALL_BENCH)
+            e, _ = multiply_oam(make_oam_mode(2, SMALL_BENCH.ring,
+                                              SMALL_BENCH.grid,
+                                              SMALL_BENCH.sorter.wavelength),
+                                SMALL_BENCH)
         for n_theta in (64, 256):
             got = optics._polar_samples(e, n_theta, e.n // 2)
             ref = serial_polar_samples(e, n_theta, e.n // 2)
@@ -546,7 +547,7 @@ class TestThreadLifecycle:
         before = threading.active_count()
         e = make_oam_mode(1, SMALL_BENCH.ring, SMALL_BENCH.grid,
                           SMALL_BENCH.sorter.wavelength)
-        out = multiply_oam(e, SMALL_BENCH)
+        out, _ = multiply_oam(e, SMALL_BENCH)
         assert threading.active_count() == before
         oam_spectrum(out, 6)
         assert threading.active_count() == before
@@ -570,9 +571,9 @@ class TestThreadLifecycle:
         # platforms without os.sched_getaffinity count CPUs with os.cpu_count
         e = make_oam_mode(1, SMALL_BENCH.ring, SMALL_BENCH.grid,
                           SMALL_BENCH.sorter.wavelength)
-        want = multiply_oam(e, SMALL_BENCH).samples.tobytes()
+        want = multiply_oam(e, SMALL_BENCH)[0].samples.tobytes()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert multiply_oam(e, SMALL_BENCH).samples.tobytes() == want
+        assert multiply_oam(e, SMALL_BENCH)[0].samples.tobytes() == want
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_reaches_the_caller(self, monkeypatch, failing):

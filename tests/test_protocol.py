@@ -133,9 +133,10 @@ class TestDoublingPipeline:
 
     def test_trace_has_the_six_steps(self):
         s = basis_state(1, G, 4)
-        _, trace = run_ideal_protocol_p(s, ProtocolConfig(p=2))
-        assert [t.label for t in trace.steps] == [
+        _, report = run_ideal_protocol_p(s, ProtocolConfig(p=2))
+        assert list(report.step_norms) == [
             "expand", "mirror-evolve", "split", "phase", "merge", "compress"]
+        assert report.warnings == []
 
     def test_vacated_levels_are_empty(self):
         rng = np.random.default_rng(7)
@@ -145,18 +146,28 @@ class TestDoublingPipeline:
 
     def test_split_record_holds_the_parts_norm(self):
         s = basis_state(1, G, 4)
-        _, trace = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=2048))
-        split, phase = [t for t in trace.steps if t.label in ("split", "phase")]
-        assert abs(split.norm_captured - sum(split.extra["part_norms"])) < 1e-15
+        _, report = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=2048))
+        norms = report.step_norms
+        big = WellGeometry(2 * G.width)
+        parts = split_at_nodes(free_evolve(rebase(s, big, 2048), TAU), 2,
+                               n_modes=s.n_modes)
+        part_norms = [np.sum(np.abs(q.amps) ** 2) for q in parts]
+        assert abs(norms["split"] - sum(part_norms)) < 1e-15
         # the phase step only rotates each part
-        assert abs(phase.norm_captured - split.norm_captured) < 1e-15
+        assert abs(norms["phase"] - norms["split"]) < 1e-15
 
     def test_fitted_offsets_recorded(self):
         s = basis_state(1, G, 4)
-        _, trace = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=2048))
-        phase_step = [t for t in trace.steps if t.label == "phase"][0]
-        assert len(phase_step.extra["potential_offsets"]) == 2
-        assert max(trace.copy_residuals) < 1e-6
+        _, report = run_ideal_protocol_p(s, ProtocolConfig(p=2, working_modes=2048))
+        # one coefficient per sub-well, each carrying a 1/sqrt(p) copy, to
+        # the fit tolerance: floored at ten times the expansion's lost tail
+        tail = np.sqrt(max(0.0, 1.0 - report.step_norms["expand"]))
+        tol = max(protocol.COPY_RESIDUAL_TOL, 10.0 * tail)
+        assert report.copy_coefficients.shape == (2,)
+        assert np.all(np.abs(np.abs(report.copy_coefficients) - 1.0 / np.sqrt(2.0))
+                      <= tol)
+        assert report.copy_residuals.shape == (2,)
+        assert max(report.copy_residuals) < 1e-6
 
 
 class TestGeneralP:
@@ -173,6 +184,14 @@ class TestGeneralP:
         s = fix_global_phase(random_state(G, 8, rng))
         out, _ = run_ideal_protocol_p(s, ProtocolConfig(p=1))
         assert np.allclose(out.amps, s.amps)
+
+    def test_p1_records_compress_only(self):
+        s = random_state(G, 8, np.random.default_rng(8))
+        out, report = run_ideal_protocol_p(s, ProtocolConfig(p=1))
+        assert list(report.step_norms) == ["compress"]
+        assert report.step_norms["compress"] == pytest.approx(
+            np.sum(np.abs(out.amps) ** 2), abs=1e-15)
+        assert report.copy_coefficients.size == report.copy_residuals.size == 0
 
     def test_copy_fit_error_on_unrelated_part(self):
         from hotelsim.protocol import _copy_pattern, _fit_copy_phases
@@ -196,13 +215,12 @@ class TestOutputBasisMerge:
         # differently, by up to 3e-17.  So only the 1e-15 bound is asserted.
         s = random_state(G, n, np.random.default_rng(40 + p))
         n_work = 1024 * p
-        out, trace = run_ideal_protocol_p(
+        out, report = run_ideal_protocol_p(
             s, ProtocolConfig(p=p, working_modes=n_work))
-        steps = {t.label: t for t in trace.steps}
         big = WellGeometry(p * G.width)
         parts = split_at_nodes(free_evolve(rebase(s, big, n_work), p * TAU / 2.0),
                                p, n_modes=s.n_modes)
-        coeffs = steps["phase"].extra["copy_coefficients"]
+        coeffs = report.copy_coefficients
         phased = [part.with_amps(part.amps * ((-1.0) ** j * np.conj(c) / abs(c)))
                   for j, (part, c) in enumerate(zip(parts, coeffs))]
         merged = merge_halves(*phased, n_modes=n_work)
@@ -211,10 +229,11 @@ class TestOutputBasisMerge:
         reference = adiabatic_retag(merged, G).amps[:out.n_modes]
         assert out.n_modes == n * p
         assert np.max(np.abs(out.amps - reference)) <= 1e-15
-        # the compress step's truncated norm is what the output does not hold
-        compress = steps["compress"]
-        assert abs(compress.extra["truncated_norm"] + compress.norm_captured
-                   - steps["phase"].norm_captured) <= 1e-15
+        # the compress record is the norm the output holds, which the
+        # merge's truncation can only lower
+        norms = report.step_norms
+        assert abs(norms["compress"] - np.sum(np.abs(out.amps) ** 2)) <= 1e-15
+        assert norms["compress"] <= norms["phase"] + 1e-15
 
     def test_second_state_builds_nothing(self):
         # per-geometry work (overlaps, evolution phases, node rows) is done
